@@ -16,14 +16,12 @@
 //	benchtab -exp scenarios    # scenario-pack sweep determinism + cluster chaos dichotomy gate (exit 1 on failure)
 //	benchtab -exp overhead     # clean-network overhead guards: robust mode ≤5%, recorder armed ≤15% (exit 1 above budget)
 //	benchtab -exp allocs       # allocation guards: engagement allocs/op budget + zero-alloc scheduler steady state (exit 1 above)
-//	benchtab -exp sched        # timing-wheel scheduler microbenchmarks (depths, cancel churn, same-instant dispatch)
 //	benchtab -exp trace        # trace schema gate: one traced engagement validated against liberate-trace/v1
 //	benchtab -exp fingerprint  # ambiguity fingerprint: per-profile identification + pruned vs full cold sweep (exit 1 on misidentification or nondeterminism)
-//	benchtab -exp fingerprint -bench-json BENCH_6.json   # ... plus JSON snapshot
-//	benchtab -exp perf         # substrate + macro perf benchmarks
-//	benchtab -exp perf -bench-json BENCH_3.json   # ... plus JSON snapshot
-//	benchtab -exp perf -cpuprofile cpu.pprof      # ... under the CPU profiler
+//	benchtab -table 3 -cpuprofile cpu.pprof       # any selection, under the CPU profiler
 //	benchtab -all              # everything, in order
+//
+// Performance is measured by perfbench/ (bash perfbench/run.sh), not here.
 package main
 
 import (
@@ -46,9 +44,8 @@ func run() int {
 	var (
 		table  = flag.Int("table", 0, "regenerate Table N (1, 2, or 3)")
 		figure = flag.Int("figure", 0, "regenerate Figure N (4)")
-		exp    = flag.String("exp", "", "in-text experiment: efficiency|tmobile|persistence|sprint|ablation|extensions|armsrace|campaign|chaos|scenarios|overhead|allocs|trace|sched|fingerprint|perf")
+		exp    = flag.String("exp", "", "in-text experiment: efficiency|tmobile|persistence|sprint|ablation|extensions|armsrace|campaign|chaos|scenarios|overhead|allocs|trace|fingerprint")
 		quick  = flag.Bool("quick", false, "with -exp chaos or -exp scenarios: restrict the sweep for CI")
-		bjson  = flag.String("bench-json", "", "with -exp perf or -exp sched: also write the snapshot as JSON to this path")
 		days   = flag.Int("days", 1, "days to sweep for Figure 4 (paper used 2)")
 		trials = flag.Int("trials", 6, "trials per hour for Figure 4 (paper used 6)")
 		body   = flag.Int("mb", 10, "video size in MB for the T-Mobile throughput experiment")
@@ -223,18 +220,6 @@ func run() int {
 		}
 		ran = true
 	}
-	if *all || *exp == "sched" {
-		fmt.Println("== sched: timing-wheel scheduler microbenchmarks ==")
-		snap := experiments.RunSched()
-		fmt.Println(snap.Render())
-		if *bjson != "" {
-			if err := snap.WriteJSON(*bjson); err != nil {
-				return fatal(err)
-			}
-			fmt.Println("wrote", *bjson)
-		}
-		ran = true
-	}
 	if *all || *exp == "trace" {
 		fmt.Println("== trace schema gate: one traced engagement validated against liberate-trace/v1 ==")
 		c := experiments.RunTraceCheck()
@@ -249,27 +234,9 @@ func run() int {
 		fmt.Println("== fingerprint: ambiguity-probe identification + pruned vs full cold sweep ==")
 		fb := experiments.RunFingerprintBench()
 		fmt.Println(fb.Render())
-		if *bjson != "" {
-			if err := fb.WriteJSON(*bjson); err != nil {
-				return fatal(err)
-			}
-			fmt.Println("wrote", *bjson)
-		}
 		if !fb.Pass() {
 			fmt.Fprintln(os.Stderr, "benchtab: fingerprint gate failed — misidentified profile or nondeterministic armed sweep")
 			return 1
-		}
-		ran = true
-	}
-	if *all || *exp == "perf" {
-		fmt.Println("== perf: substrate + macro benchmark snapshot ==")
-		snap := experiments.RunPerf()
-		fmt.Println(snap.Render())
-		if *bjson != "" {
-			if err := snap.WriteJSON(*bjson); err != nil {
-				return fatal(err)
-			}
-			fmt.Println("wrote", *bjson)
 		}
 		ran = true
 	}

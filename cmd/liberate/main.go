@@ -117,15 +117,12 @@ func main() {
 		return
 	}
 
-	var osp *stack.OSProfile
-	switch *serverOS {
-	case "", "linux":
-		osp = &stack.Linux
-	case "macos":
-		osp = &stack.MacOS
-	case "windows":
-		osp = &stack.Windows
-	default:
+	osName := *serverOS
+	if osName == "" {
+		osName = "linux"
+	}
+	osp := stack.OSByName(osName)
+	if osp == nil {
 		fmt.Fprintf(os.Stderr, "unknown OS profile %q\n", *serverOS)
 		os.Exit(1)
 	}
@@ -150,10 +147,6 @@ func main() {
 	// files are not content-addressable, so the store stays out of the way.
 	var store *campaign.Store
 	var storeEng campaign.Engagement
-	osName := *serverOS
-	if osName == "" {
-		osName = "linux"
-	}
 	if *storeDir != "" {
 		if *netFile != "" || *impair != "" || *scenario != "" || !isRegistryTrace(*trName) {
 			fmt.Fprintln(os.Stderr, "-store ignored: only named networks and traces are content-addressable")

@@ -3,9 +3,7 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
-	"io"
-	"sync"
+	"strconv"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -27,231 +25,138 @@ type CacheStats struct {
 	Entries int `json:"entries"`
 }
 
-// cacheKey identifies everything that determines an engagement's report.
+// contentKey is the canonical content address of one engagement's report,
+// shared by the in-memory Cache and the persistent Store:
+//
+//	networkDigest|traceHash|hour|os|engagement[|sc:scenarioHash][|fp:1]
+//
 // The seed is deliberately absent: it only parameterizes the deployment
-// transform built *after* the engagement, which the cache wrapper
-// re-verifies per seed on every engagement, hits included. The body size
-// is folded into the trace content hash.
-type cacheKey struct {
-	NetworkFP string
-	TraceFP   string
-	Hour      int
-	ServerOS  string
-	Phase     string
-	// Scenario is the armed scenario's content hash ("" on the clean
-	// path), so a scenario-armed engagement never collides with the clean
-	// one sharing its network fingerprint.
-	Scenario string
-	// Fingerprint marks engagements that ran the phase-0 ambiguity
-	// fingerprint (and its suite pruning); armed and unarmed reports
-	// differ, so their keys must never alias.
-	Fingerprint bool
-}
-
-// String renders the canonical key form shared by the in-memory shard
-// hash and the persistent store's content addressing. The scenario
-// segment appears only when one is armed, so clean-path keys — and the
-// store paths derived from them — match older entries byte-for-byte.
-func (k cacheKey) String() string {
-	s := fmt.Sprintf("%s|%s|%d|%s|%s", k.NetworkFP, k.TraceFP, k.Hour, k.ServerOS, k.Phase)
-	if k.Scenario != "" {
-		s += "|sc:" + k.Scenario
-	}
-	if k.Fingerprint {
-		s += "|fp:1"
-	}
-	return s
-}
-
-// enginePhase is the phase label under which whole engagements are
-// memoized. Detection, characterization, and evaluation verdicts are all
-// carried inside the one cached Report. Phase-granular entries would be
-// unsound here: the three phases share one Session (middlebox flow state,
-// port allocation, the virtual clock), so a characterization computed
-// against one engagement's post-detection state cannot be replayed onto
-// another's. The phase field exists so future backends with stateless
-// phases can add finer entries without redesigning the key.
-const enginePhase = "engagement"
-
-// fpMemo memoizes the expensive content-addressing inputs — network
-// profile fingerprints and trace content hashes — per (name) and
-// (name, body). Both the in-memory Cache and the persistent Store key
-// through one of these; sharing the type keeps their keys identical by
-// construction.
-type fpMemo struct {
-	mu    sync.Mutex
-	netFP map[string]string // network name → profile fingerprint
-	trFP  map[[2]any]string // (trace name, body) → content hash
-	// scFP memoizes scenario content hashes by resolved spec identity, so
-	// two packs reusing a scenario name never share an entry.
-	scFP map[*dpi.ScenarioSpec]string
-}
-
-func newFPMemo() *fpMemo {
-	return &fpMemo{
-		netFP: make(map[string]string),
-		trFP:  make(map[[2]any]string),
-		scFP:  make(map[*dpi.ScenarioSpec]string),
-	}
-}
-
-// keyFor builds the content-addressed key for one engagement, memoizing
-// the fingerprint computations per profile and per trace.
-func (m *fpMemo) keyFor(e Engagement, osName string) (cacheKey, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	nfp, ok := m.netFP[e.Network]
-	if !ok {
+// transform built *after* the engagement, which both layers re-verify per
+// seed on every hit. The body size is folded into the trace hash. The
+// literal "engagement" segment names the memoized unit: detection,
+// characterization and evaluation verdicts all travel inside one Report,
+// because the three phases share one Session (middlebox flow state, port
+// allocation, the virtual clock) and so cannot be reused separately. The
+// optional segments appear only when armed, so clean-path keys — and the
+// store paths derived from them — match older entries byte for byte.
+func contentKey(e Engagement, osName string) (string, error) {
+	nd, err := keyPart(&networkDigests, e.Network, func() (string, error) {
 		net, err := registry.NewNetwork(e.Network)
 		if err != nil {
-			return cacheKey{}, err
+			return "", err
 		}
-		nfp = net.ConfigDigest()
-		m.netFP[e.Network] = nfp
+		defer net.Release()
+		return net.ConfigDigest(), nil
+	})
+	if err != nil {
+		return "", err
 	}
-	tk := [2]any{e.Trace, e.Body}
-	tfp, ok := m.trFP[tk]
-	if !ok {
+	th, err := keyPart(&traceHashes, traceCell{e.Trace, e.Body}, func() (string, error) {
 		tr, err := registry.NewTrace(e.Trace, e.Body)
 		if err != nil {
-			return cacheKey{}, err
+			return "", err
 		}
-		tfp = trace.ContentHash(tr)
-		m.trFP[tk] = tfp
+		return trace.ContentHash(tr), nil
+	})
+	if err != nil {
+		return "", err
 	}
-	var scfp string
+	key := nd + "|" + th + "|" + strconv.Itoa(e.Hour) + "|" + osName + "|engagement"
 	if e.Scenario != "" {
 		if e.scenario == nil {
-			return cacheKey{}, fmt.Errorf("campaign: %s: scenario %q not resolved (engagements must come from Spec.Expand)",
+			return "", fmt.Errorf("campaign: %s: scenario %q not resolved (engagements must come from Spec.Expand)",
 				e.Key(), e.Scenario)
 		}
-		scfp, ok = m.scFP[e.scenario]
-		if !ok {
-			scfp = e.scenario.Hash()
-			m.scFP[e.scenario] = scfp
-		}
+		sh, _ := keyPart(&scenarioHashes, e.scenario, func() (string, error) {
+			return e.scenario.Hash(), nil
+		})
+		key += "|sc:" + sh
 	}
-	return cacheKey{NetworkFP: nfp, TraceFP: tfp, Hour: e.Hour, ServerOS: osName,
-		Phase: enginePhase, Scenario: scfp, Fingerprint: e.Fingerprint}, nil
+	if e.Fingerprint {
+		key += "|fp:1"
+	}
+	return key, nil
 }
 
-// cacheEntry is a singleflight slot: the creating engagement computes,
-// everyone else blocks on ready.
-type cacheEntry struct {
-	ready chan struct{}
-	rep   *core.Report
-	err   error
+// The registry is fixed for the life of the process, so the expensive
+// key inputs are memoized process-wide: the network profile digest by
+// name, the trace content hash by (name, body), and the scenario hash by
+// resolved spec identity (two packs reusing a scenario name never share
+// an entry).
+var (
+	networkDigests memo[string, string]
+	traceHashes    memo[traceCell, string]
+	scenarioHashes memo[*dpi.ScenarioSpec, string]
+)
+
+type traceCell struct {
+	name string
+	body int
 }
 
-const cacheShards = 16
+// keyPart memoizes one key input. Unlike report entries, failures are
+// not kept: an unknown name from a daemon client must not grow a
+// process-wide map.
+func keyPart[K comparable](m *memo[K, string], k K, fn func() (string, error)) (string, error) {
+	v, err := m.do(context.Background(), k, fn)
+	if err != nil {
+		m.forget(k)
+	}
+	return v, err
+}
 
-// Cache memoizes engagement reports across a campaign, keyed by content:
-// the network profile's configuration fingerprint, the trace's content
-// hash, the engagement hour, and the server OS. Campaign sweeps expand
-// cross products (networks × traces × hours × bodies × seeds), so distinct
-// engagements routinely describe identical computations — every seed
-// shares one, and so would repeated runs of overlapping specs sharing one
-// Cache.
+// Cache memoizes engagement reports across a campaign, keyed by
+// contentKey. Campaign sweeps expand cross products (networks × traces ×
+// hours × bodies × seeds), so distinct engagements routinely describe
+// identical computations — every seed shares one, and so would repeated
+// runs of overlapping specs sharing one Cache.
 //
 // Keys are resolved through the registry, so the cache applies to
 // campaigns engaging built-in simulated profiles (DefaultEngage). A
 // custom EngageFunc backed by real networks should run uncached: a live
 // path's behaviour is not a pure function of its name.
 type Cache struct {
-	shards [cacheShards]struct {
-		mu      sync.Mutex
-		entries map[cacheKey]*cacheEntry
-	}
+	reports memo[string, *core.Report]
 
-	// hits/misses are atomics, not mutex-guarded ints: they are bumped
-	// from every worker goroutine on the engagement hot path and read by
-	// Stats while shards are still completing (progress observers,
-	// liberate-d). Atomic loads keep those mid-run reads tear-free
-	// without serializing the workers.
+	// hits/misses are atomics: they are bumped from every worker goroutine
+	// and read by Stats while the campaign is still running (progress
+	// observers, liberate-d).
 	hits   atomic.Int64
 	misses atomic.Int64
-
-	fps *fpMemo
 }
 
 // NewCache returns an empty campaign cache.
-func NewCache() *Cache {
-	c := &Cache{fps: newFPMemo()}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[cacheKey]*cacheEntry)
-	}
-	return c
-}
+func NewCache() *Cache { return &Cache{} }
 
 // Stats returns the current hit/miss counters. Safe to call while a
-// campaign is running; the counters are atomically loaded.
+// campaign is running.
 func (c *Cache) Stats() CacheStats {
-	entries := 0
-	for i := range c.shards {
-		c.shards[i].mu.Lock()
-		entries += len(c.shards[i].entries)
-		c.shards[i].mu.Unlock()
-	}
 	return CacheStats{
 		Hits:    int(c.hits.Load()),
 		Misses:  int(c.misses.Load()),
-		Entries: entries,
+		Entries: c.reports.len(),
 	}
 }
 
-func (k cacheKey) shard() int {
-	h := fnv.New32a()
-	io.WriteString(h, k.String())
-	return int(h.Sum32() % cacheShards)
-}
-
-// do returns the cached report for key, computing it via compute exactly
-// once per key. Errors are cached too: the simulator is deterministic, so
-// a failed computation fails identically for every engagement sharing the
-// key (the recorded error text is the leader's).
-func (c *Cache) do(key cacheKey, compute func() (*core.Report, error)) (*core.Report, error) {
-	sh := &c.shards[key.shard()]
-	sh.mu.Lock()
-	ent, ok := sh.entries[key]
-	if ok {
-		sh.mu.Unlock()
-		c.hits.Add(1)
-		<-ent.ready
-		return ent.rep, ent.err
-	}
-	ent = &cacheEntry{ready: make(chan struct{})}
-	sh.entries[key] = ent
-	sh.mu.Unlock()
-	c.misses.Add(1)
-
-	// The ready channel must close even if compute panics, or every
-	// waiter deadlocks; the panic itself still propagates to the runner's
-	// per-attempt recovery.
-	done := false
-	defer func() {
-		if !done {
-			ent.err = fmt.Errorf("campaign: cache leader aborted before completing")
-			close(ent.ready)
-		}
-	}()
-	ent.rep, ent.err = compute()
-	done = true
-	close(ent.ready)
-	return ent.rep, ent.err
-}
-
-// wrap decorates an EngageFunc with memoization. The per-seed deployment
-// check runs for every engagement — including cache hits — because the
-// seed is outside the cache key.
+// wrap decorates an EngageFunc with memoization. The leader for a key
+// counts as a miss and every other caller as a hit. The per-seed
+// deployment check runs for every engagement — including cache hits —
+// because the seed is outside the cache key.
 func (c *Cache) wrap(inner EngageFunc) EngageFunc {
 	return func(ctx context.Context, e Engagement, osp *stack.OSProfile) (*core.Report, error) {
-		key, err := c.fps.keyFor(e, osName(osp))
+		key, err := contentKey(e, osName(osp))
 		if err != nil {
 			return nil, err
 		}
-		rep, err := c.do(key, func() (*core.Report, error) {
+		leader := false
+		rep, err := c.reports.do(ctx, key, func() (*core.Report, error) {
+			leader = true
+			c.misses.Add(1)
 			return inner(ctx, e, osp)
 		})
+		if !leader {
+			c.hits.Add(1)
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -24,8 +23,7 @@ import (
 // simply leaves the engagement to probe for itself, which yields the
 // same report.
 type fingerprintMemo struct {
-	mu      sync.Mutex
-	entries map[fpProbeKey]*fpProbeEntry
+	probes memo[fpProbeKey, *core.FingerprintResult]
 }
 
 type fpProbeKey struct {
@@ -35,28 +33,21 @@ type fpProbeKey struct {
 	hour     int
 }
 
-type fpProbeEntry struct {
-	ready chan struct{}
-	fp    *core.FingerprintResult
-	err   error
-}
-
 // wrap injects memoized probe evidence into armed engagements before
 // handing them to inner. Unarmed engagements pass through untouched.
 func (m *fingerprintMemo) wrap(inner EngageFunc) EngageFunc {
 	return func(ctx context.Context, e Engagement, osp *stack.OSProfile) (*core.Report, error) {
 		if e.Fingerprint && e.fingerprinted == nil {
-			if fp := m.get(ctx, e, osp); fp != nil {
-				e.fingerprinted = fp
-			}
+			e.fingerprinted = m.get(ctx, e, osp)
 		}
 		return inner(ctx, e, osp)
 	}
 }
 
 // get returns the memoized evidence for e's probe configuration,
-// computing it once per key (singleflight: concurrent siblings wait for
-// the first prober). A nil return means no memo is available — the
+// probing once per key while concurrent siblings wait for the first
+// prober. A nil return means no memo is available (an unresolved
+// scenario, a failed or panicked probe, a cancelled wait) — the
 // engagement probes for itself.
 func (m *fingerprintMemo) get(ctx context.Context, e Engagement, osp *stack.OSProfile) *core.FingerprintResult {
 	if e.Scenario != "" && e.scenario == nil {
@@ -66,29 +57,13 @@ func (m *fingerprintMemo) get(ctx context.Context, e Engagement, osp *stack.OSPr
 		return nil
 	}
 	key := fpProbeKey{network: e.Network, scenario: e.Scenario, osName: osp.Name, hour: e.Hour}
-
-	m.mu.Lock()
-	ent, ok := m.entries[key]
-	if !ok {
-		ent = &fpProbeEntry{ready: make(chan struct{})}
-		m.entries[key] = ent
-		m.mu.Unlock()
-		// close-on-defer keeps waiters unblocked even if probing panics;
-		// they observe a nil result and fall back to probing themselves.
-		defer close(ent.ready)
-		ent.fp, ent.err = probeFingerprint(e, osp)
-	} else {
-		m.mu.Unlock()
-		select {
-		case <-ent.ready:
-		case <-ctx.Done():
-			return nil
-		}
-	}
-	if ent.err != nil {
+	fp, err := m.probes.do(ctx, key, func() (*core.FingerprintResult, error) {
+		return probeFingerprint(e, osp)
+	})
+	if err != nil {
 		return nil
 	}
-	return ent.fp
+	return fp
 }
 
 // probeFingerprint builds the engagement's network exactly as

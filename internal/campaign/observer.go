@@ -27,10 +27,10 @@ type Observer interface {
 // NopObserver ignores every event.
 type NopObserver struct{}
 
-func (NopObserver) CampaignStarted(int, int)           {}
-func (NopObserver) EngagementStarted(Engagement, int)  {}
-func (NopObserver) EngagementFinished(Result)          {}
-func (NopObserver) CampaignFinished(*Summary)          {}
+func (NopObserver) CampaignStarted(int, int)          {}
+func (NopObserver) EngagementStarted(Engagement, int) {}
+func (NopObserver) EngagementFinished(Result)         {}
+func (NopObserver) CampaignFinished(*Summary)         {}
 
 // MultiObserver fans events out to several observers in order.
 type MultiObserver []Observer

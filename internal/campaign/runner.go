@@ -185,18 +185,9 @@ type Runner struct {
 	// clean path unrecorded.
 	FlightRecorder int
 
-	// fpOnce/fpMemo lazily build the per-run fingerprint memo shared by
-	// all workers (see fingerprintMemo).
-	fpOnce sync.Once
-	fpMemo *fingerprintMemo
-}
-
-// fingerprints returns the runner's shared fingerprint memo.
-func (r *Runner) fingerprints() *fingerprintMemo {
-	r.fpOnce.Do(func() {
-		r.fpMemo = &fingerprintMemo{entries: make(map[fpProbeKey]*fpProbeEntry)}
-	})
-	return r.fpMemo
+	// fingerprints is the per-run fingerprint memo shared by all workers
+	// (see fingerprintMemo).
+	fingerprints fingerprintMemo
 }
 
 // workers returns the effective pool size for n engagements: the
@@ -227,10 +218,10 @@ func (r *Runner) engage() EngageFunc {
 		// engagement — it is the only EngageFunc that reads the injected
 		// evidence, and probing for a custom backend would be wasted
 		// work. It sits innermost so cache and store hits never probe.
-		inner = r.fingerprints().wrap(DefaultEngage)
+		inner = r.fingerprints.wrap(DefaultEngage)
 	}
 	// Layering: memory cache over disk store over the real engagement.
-	// The cache's singleflight means each distinct key consults the
+	// The cache's memo means each distinct key consults the
 	// store exactly once per run, which is what keeps single-process
 	// store stats deterministic.
 	if r.Store != nil {
@@ -240,17 +231,6 @@ func (r *Runner) engage() EngageFunc {
 		return r.Cache.wrap(inner)
 	}
 	return inner
-}
-
-func serverOS(name string) *stack.OSProfile {
-	switch name {
-	case "macos":
-		return &stack.MacOS
-	case "windows":
-		return &stack.Windows
-	default:
-		return &stack.Linux
-	}
 }
 
 // Run expands the spec, executes every engagement, and returns the
@@ -393,7 +373,10 @@ func (r *Runner) attempt(parent context.Context, e Engagement) (*core.Report, er
 		ctx, cancel = context.WithTimeout(parent, timeout)
 		defer cancel()
 	}
-	osp := serverOS(r.Spec.withDefaults().ServerOS)
+	osp := stack.OSByName(r.Spec.withDefaults().ServerOS)
+	if osp == nil {
+		osp = &stack.Linux // unreachable for a spec that passed Validate
+	}
 
 	type outcome struct {
 		rep *core.Report

@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dpi"
+	"repro/internal/netem/stack"
 	"repro/internal/registry"
 )
 
@@ -225,9 +226,7 @@ func (s Spec) Validate() error {
 			return err
 		}
 	}
-	switch eff.ServerOS {
-	case "linux", "macos", "windows":
-	default:
+	if stack.OSByName(eff.ServerOS) == nil {
 		return fmt.Errorf("campaign: unknown server OS %q (linux|macos|windows)", eff.ServerOS)
 	}
 	if s.ScenarioPack != "" {

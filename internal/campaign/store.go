@@ -25,7 +25,7 @@ const storeVersion = 1
 // StoreStats is the persistent store's lookup accounting. For a
 // single-process run layered under the in-memory Cache the counts are
 // deterministic given the store's starting state (the cache's
-// singleflight sends exactly one lookup per distinct key: misses =
+// memo sends exactly one lookup per distinct key: misses =
 // distinct keys absent at start, hits = the rest). Across worker
 // *processes* the hit/miss split depends on completion timing — which is
 // why cluster coordinators report store stats through observers and obs
@@ -69,7 +69,6 @@ type storeEnvelope struct {
 //     the transient condition (or the bug) that caused it.
 type Store struct {
 	dir string
-	fps *fpMemo
 	rec obs.Recorder
 
 	hits      atomic.Int64
@@ -86,7 +85,7 @@ func OpenStore(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("campaign: open store: %w", err)
 	}
-	return &Store{dir: dir, fps: newFPMemo(), rec: obs.Nop}, nil
+	return &Store{dir: dir, rec: obs.Nop}, nil
 }
 
 // SetRecorder directs the store's cluster.store-hit/miss events and
@@ -115,8 +114,8 @@ func (s *Store) Stats() StoreStats {
 // path maps a key to its entry file: two-level fan-out on the SHA-256 of
 // the canonical key string, so a million-entry store doesn't put a
 // million names in one directory.
-func (s *Store) path(key cacheKey) string {
-	sum := sha256.Sum256([]byte(key.String()))
+func (s *Store) path(key string) string {
+	sum := sha256.Sum256([]byte(key))
 	name := hex.EncodeToString(sum[:])
 	return filepath.Join(s.dir, name[:2], name[2:]+".json")
 }
@@ -126,7 +125,7 @@ func (s *Store) path(key cacheKey) string {
 // for key construction failures (unknown network/trace names); I/O and
 // corruption problems degrade to misses by design.
 func (s *Store) Get(e Engagement, osName string) (*core.Report, bool, error) {
-	key, err := s.fps.keyFor(e, osName)
+	key, err := contentKey(e, osName)
 	if err != nil {
 		return nil, false, err
 	}
@@ -136,33 +135,33 @@ func (s *Store) Get(e Engagement, osName string) (*core.Report, bool, error) {
 
 // Put persists the engagement's report under its content key.
 func (s *Store) Put(e Engagement, osName string, rep *core.Report) error {
-	key, err := s.fps.keyFor(e, osName)
+	key, err := contentKey(e, osName)
 	if err != nil {
 		return err
 	}
 	return s.put(key, rep)
 }
 
-func (s *Store) get(key cacheKey) (*core.Report, bool) {
+func (s *Store) get(key string) (*core.Report, bool) {
 	path := s.path(key)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		if !errors.Is(err, fs.ErrNotExist) {
 			// Unreadable ≠ absent, but the store's contract is the same:
 			// recompute rather than fail.
-			s.evict(path, key)
+			s.evict(path)
 		}
 		return s.miss(key)
 	}
 	var env storeEnvelope
 	if err := json.Unmarshal(data, &env); err != nil ||
-		env.V != storeVersion || env.Key != key.String() || env.Sum != payloadSum(env.Report) {
-		s.evict(path, key)
+		env.V != storeVersion || env.Key != key || env.Sum != payloadSum(env.Report) {
+		s.evict(path)
 		return s.miss(key)
 	}
 	rep, err := DecodeReport(env.Report)
 	if err != nil {
-		s.evict(path, key)
+		s.evict(path)
 		return s.miss(key)
 	}
 	s.hits.Add(1)
@@ -173,7 +172,7 @@ func (s *Store) get(key cacheKey) (*core.Report, bool) {
 	return rep, true
 }
 
-func (s *Store) miss(key cacheKey) (*core.Report, bool) {
+func (s *Store) miss(key string) (*core.Report, bool) {
 	s.misses.Add(1)
 	s.rec.Add(obs.CtrStoreMisses, 1)
 	if s.rec.Enabled() {
@@ -185,18 +184,18 @@ func (s *Store) miss(key cacheKey) (*core.Report, bool) {
 // evict removes an unusable entry so the next lookup is a clean miss
 // rather than a repeated parse failure. Removal errors are ignored: a
 // lingering corrupt file only costs another eviction attempt later.
-func (s *Store) evict(path string, key cacheKey) {
+func (s *Store) evict(path string) {
 	os.Remove(path)
 	s.evictions.Add(1)
 	s.rec.Add(obs.CtrStoreEvictions, 1)
 }
 
-func (s *Store) put(key cacheKey, rep *core.Report) error {
+func (s *Store) put(key string, rep *core.Report) error {
 	payload, err := EncodeReport(rep)
 	if err != nil {
 		return err
 	}
-	env := storeEnvelope{V: storeVersion, Key: key.String(), Sum: payloadSum(payload), Report: payload}
+	env := storeEnvelope{V: storeVersion, Key: key, Sum: payloadSum(payload), Report: payload}
 	data, err := json.Marshal(&env)
 	if err != nil {
 		return err
@@ -238,7 +237,7 @@ func (s *Store) put(key cacheKey, rep *core.Report) error {
 // outside the content key.
 func (s *Store) wrap(inner EngageFunc) EngageFunc {
 	return func(ctx context.Context, e Engagement, osp *stack.OSProfile) (*core.Report, error) {
-		key, err := s.fps.keyFor(e, osName(osp))
+		key, err := contentKey(e, osName(osp))
 		if err != nil {
 			return nil, err
 		}
@@ -264,7 +263,7 @@ func payloadSum(b []byte) string {
 
 // shortKey is the event label form of a key: the first 12 hex chars of
 // its content hash, enough to correlate events without dumping the key.
-func shortKey(key cacheKey) string {
-	sum := sha256.Sum256([]byte(key.String()))
+func shortKey(key string) string {
+	sum := sha256.Sum256([]byte(key))
 	return hex.EncodeToString(sum[:6])
 }

@@ -9,9 +9,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dpi"
 	"repro/internal/netem/stack"
 	"repro/internal/registry"
-	"repro/internal/trace"
 )
 
 // storeSpec is small but exercises both a differentiated network and a
@@ -270,7 +270,7 @@ func TestStoreWrongKeyEntryIsMiss(t *testing.T) {
 	}
 	// Re-home the entry under a different engagement's key path.
 	other := Engagement{Network: "testbed", Trace: "amazon", Hour: 12, Body: 8 << 10, Seed: 1}
-	okey, err := st.fps.keyFor(other, "linux")
+	okey, err := contentKey(other, "linux")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,34 +338,55 @@ func TestStoreConcurrentWritersOneFile(t *testing.T) {
 	}
 }
 
-// TestStoreKeyMatchesCacheKey: the store and the in-memory cache must
-// address the same content identically — same fingerprint, same trace
-// hash, same canonical string — or a warm store would miss for keys the
-// cache would hit.
-func TestStoreKeyMatchesCacheKey(t *testing.T) {
-	e := Engagement{Network: "gfc", Trace: "youtube", Hour: 12, Body: 8 << 10, Seed: 3}
-	a, err := newFPMemo().keyFor(e, "linux")
+// TestContentKeyPinsStorePaths pins contentKey's canonical strings and
+// the store paths derived from them, as written by every earlier build.
+// A store directory warmed by an older build must stay all hits, so any
+// change here is a store format change, not a refactor.
+func TestContentKeyPinsStorePaths(t *testing.T) {
+	sc := Spec{Networks: []string{"testbed"}, Traces: []string{"amazon"}, Bodies: []int{8 << 10},
+		Scenarios: []dpi.ScenarioSpec{{Name: "lossy", Faults: &dpi.FaultsSpec{MissRate: 0.05},
+			Phases: []dpi.ScenarioPhase{{StartS: 0, Egress: []dpi.ImpairmentSpec{{Kind: "loss", Rate: 0.02, Seed: 3}}}}}}}
+	scEngs, err := sc.Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := newFPMemo().keyFor(e, "linux")
+	st, err := OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
-		t.Errorf("key mismatch across memos: %s vs %s", a, b)
-	}
-	net, err := registry.NewNetwork("gfc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := registry.NewTrace("youtube", 8<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := cacheKey{NetworkFP: net.ConfigDigest(), TraceFP: trace.ContentHash(tr), Hour: 12, ServerOS: "linux", Phase: enginePhase}
-	if a != want {
-		t.Errorf("key = %+v, want %+v", a, want)
+	for _, c := range []struct {
+		e            Engagement
+		os, key, rel string
+	}{
+		{
+			e:   Engagement{Network: "gfc", Trace: "youtube", Hour: 12, Body: 8 << 10, Seed: 3},
+			os:  "linux",
+			key: "8ac02aa8e9beab4617f5e4ebb512a81229c50cb87dbed41f3768102ab7465cdd|59b3e0f0821f2cf17632c7956419d053e225a14ecc7729fbc46c644fb9cddb20|12|linux|engagement",
+			rel: "30/5cc4de142f1b6c528c978b2306623a07e50b401810900406fae4edee76fafe.json",
+		},
+		{
+			e:   Engagement{Network: "tmobile", Trace: "amazon", Body: 8 << 10, Seed: 1, Fingerprint: true},
+			os:  "linux",
+			key: "d558aba5185fea5eb71559c0f62cb33762057686efee35b3cb2b056e2e328e07|54b111cb0a14c367a24d5cded80dcea0dfd3f26a81501eb9e3364e904ac4b18d|0|linux|engagement|fp:1",
+			rel: "8c/76dfe6b87d06a2758fcdb98813db6ebff5d0f04274415c7806779af769aebd.json",
+		},
+		{
+			e:   scEngs[0],
+			os:  "macos",
+			key: "f5d7fdb8dc5b719b3d98c61042b729d832a215aa24a3ea18fc290586d1f4e16c|54b111cb0a14c367a24d5cded80dcea0dfd3f26a81501eb9e3364e904ac4b18d|0|macos|engagement|sc:bc5b1ee3d9c0",
+			rel: "46/feb1c3c43494348bc04fbe927a97954559995ec4d62a67abdb068aed09665a.json",
+		},
+	} {
+		key, err := contentKey(c.e, c.os)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if key != c.key {
+			t.Errorf("%s/%s: key\n got %s\nwant %s", c.e.Key(), c.os, key, c.key)
+		}
+		if want := filepath.Join(st.Dir(), filepath.FromSlash(c.rel)); st.path(key) != want {
+			t.Errorf("%s/%s: path %s, want %s", c.e.Key(), c.os, st.path(key), want)
+		}
 	}
 }
 

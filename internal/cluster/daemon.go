@@ -130,7 +130,8 @@ func (d *Daemon) Handler() http.Handler {
 
 // parseQuery maps URL parameters onto an engagement cell, defaulting the
 // sweep dimensions the way campaign specs do (hour 0, default body,
-// seed 1, linux).
+// seed 1, linux). Network and trace names are checked later, by the
+// store's key derivation, which builds nothing once a name is known.
 func parseQuery(r *http.Request) (campaign.Engagement, string, error) {
 	q := r.URL.Query()
 	e := campaign.Engagement{
@@ -141,12 +142,6 @@ func parseQuery(r *http.Request) (campaign.Engagement, string, error) {
 	}
 	if e.Network == "" || e.Trace == "" {
 		return e, "", fmt.Errorf("network and trace are required")
-	}
-	if _, err := registry.NewNetwork(e.Network); err != nil {
-		return e, "", err
-	}
-	if _, err := registry.NewTrace(e.Trace, 0); err != nil {
-		return e, "", err
 	}
 	for name, dst := range map[string]*int{"hour": &e.Hour, "body": &e.Body} {
 		if s := q.Get(name); s != "" {
@@ -168,9 +163,7 @@ func parseQuery(r *http.Request) (campaign.Engagement, string, error) {
 	if osName == "" {
 		osName = "linux"
 	}
-	switch osName {
-	case "linux", "macos", "windows":
-	default:
+	if stack.OSByName(osName) == nil {
 		return e, "", fmt.Errorf("unknown os %q (linux|macos|windows)", osName)
 	}
 	switch fp := q.Get("fingerprint"); fp {
@@ -204,7 +197,7 @@ func (d *Daemon) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	accepted := map[string]string{"status": "scheduled", "key": e.Key()}
 	if e.Fingerprint {
 		if net, err := registry.NewNetwork(e.Network); err == nil {
-			fp := core.FingerprintNetwork(net, serverOSProfile(osName))
+			fp := core.FingerprintNetwork(net, stack.OSByName(osName))
 			net.Release()
 			accepted["fingerprint"] = fp.Profile
 			if accepted["fingerprint"] == "" {
@@ -254,10 +247,21 @@ const (
 	scheduleFull
 )
 
+// jobKey identifies a background engagement for in-flight dedupe: the
+// engagement key plus everything it omits that changes the report — the
+// server OS and whether the fingerprint is armed.
+func jobKey(e campaign.Engagement, osName string) string {
+	key := e.Key() + "/" + osName
+	if e.Fingerprint {
+		key += "/fp"
+	}
+	return key
+}
+
 // schedule enqueues a background engagement for a cold key, deduplicated
 // against identical requests already in flight.
 func (d *Daemon) schedule(e campaign.Engagement, osName string) scheduleOutcome {
-	key := e.Key() + "/" + osName
+	key := jobKey(e, osName)
 	d.mu.Lock()
 	if _, dup := d.inflight[key]; dup {
 		d.mu.Unlock()
@@ -291,7 +295,7 @@ func (d *Daemon) worker(ctx context.Context) {
 }
 
 func (d *Daemon) runJob(ctx context.Context, j job) {
-	key := j.eng.Key() + "/" + j.os
+	key := jobKey(j.eng, j.os)
 	defer func() {
 		d.mu.Lock()
 		delete(d.inflight, key)
@@ -299,7 +303,7 @@ func (d *Daemon) runJob(ctx context.Context, j job) {
 	}()
 	jctx, cancel := context.WithTimeout(ctx, d.timeout)
 	defer cancel()
-	rep, err := d.engage(jctx, j.eng, serverOSProfile(j.os))
+	rep, err := d.engage(jctx, j.eng, stack.OSByName(j.os))
 	if err != nil {
 		d.failed.Add(1)
 		if d.rec.Enabled() {
@@ -348,15 +352,4 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
-}
-
-func serverOSProfile(name string) *stack.OSProfile {
-	switch name {
-	case "macos":
-		return &stack.MacOS
-	case "windows":
-		return &stack.Windows
-	default:
-		return &stack.Linux
-	}
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -186,5 +187,40 @@ func TestDaemonRejectsBadQueries(t *testing.T) {
 		if status != http.StatusBadRequest {
 			t.Errorf("query %q: status %d, body %v, want 400", q, status, body)
 		}
+	}
+}
+
+// TestDaemonArmedAndUnarmedAreDistinctJobs: an armed and an unarmed
+// query for the same cell compute different reports, so the in-flight
+// dedupe must schedule both — the armed one may not ride on the unarmed
+// job still running.
+func TestDaemonArmedAndUnarmedAreDistinctJobs(t *testing.T) {
+	store, err := campaign.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	defer close(release)
+	blocked := func(ctx context.Context, e campaign.Engagement, osp *stack.OSProfile) (*core.Report, error) {
+		<-release
+		return nil, errors.New("released")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	d := NewDaemon(ctx, store, DaemonOptions{Engage: blocked})
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+
+	url := srv.URL + "/v1/answer?network=testbed&trace=amazon&body=8192"
+	for _, q := range []string{url, url + "&fingerprint=1"} {
+		if status, body := getJSON(t, q); status != http.StatusAccepted {
+			t.Fatalf("cold query %s: status %d, body %v", q, status, body)
+		}
+	}
+	// Scheduling happens inside the handler, so both answers above have
+	// already counted; the blocked engagements keep both keys in flight.
+	_, stats := getJSON(t, srv.URL+"/v1/stats")
+	if stats["scheduled"] != float64(2) {
+		t.Errorf("stats = %v, want scheduled=2 (armed and unarmed are separate jobs)", stats)
 	}
 }

@@ -153,8 +153,8 @@ var ambiguitySignatures = map[string]AmbiguitySignature{
 		ProbeTTLLimitedInsertion:  ResExpired,
 	},
 	"att": {
-		ProbeHopCount:             HopsResolution(3),
-		ProbeUsageCounter:         ResUncounted,
+		ProbeHopCount:     HopsResolution(3),
+		ProbeUsageCounter: ResUncounted,
 		// The terminating proxy only parses whole TCP packets; raw
 		// fragments bypass it untouched.
 		ProbeOverlappingFragments: ResFragments,

@@ -5,8 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"time"
 
 	"repro/internal/campaign"
@@ -36,17 +34,11 @@ type FingerprintArm struct {
 	PrunedVerdicts int           `json:"pruned_verdicts"`
 }
 
-// FingerprintBench is the BENCH_6.json payload: every built-in profile's
+// FingerprintBench is the fingerprint gate's result: every built-in profile's
 // ambiguity identification, plus the golden 48-engagement sweep run cold
 // twice — once un-pruned, once with the fingerprint phase armed — and a
 // worker-count determinism check on the armed arm.
 type FingerprintBench struct {
-	Schema     string `json:"schema"`
-	GoVersion  string `json:"go"`
-	NumCPU     int    `json:"num_cpu"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	Revision   string `json:"revision,omitempty"`
-
 	Engagements     int                         `json:"engagements"`
 	Identifications []FingerprintIdentification `json:"identifications"`
 	// AllIdentified is true when every built-in profile was identified as
@@ -117,11 +109,6 @@ func runFingerprintArm(name string, armed bool, workers int) (FingerprintArm, []
 // counts to confirm byte-identical aggregation.
 func RunFingerprintBench() *FingerprintBench {
 	b := &FingerprintBench{
-		Schema:        "liberate-fingerprint-bench/v1",
-		GoVersion:     runtime.Version(),
-		NumCPU:        runtime.NumCPU(),
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		Revision:      vcsRevision(),
 		AllIdentified: true,
 	}
 	for _, name := range registry.NetworkNames() {
@@ -209,12 +196,3 @@ func (b *FingerprintBench) Render() string {
 // Pass reports whether the gate holds: every profile identified and the
 // armed sweep deterministic across worker counts.
 func (b *FingerprintBench) Pass() bool { return b.AllIdentified && b.Deterministic }
-
-// WriteJSON writes the snapshot to path (BENCH_6.json).
-func (b *FingerprintBench) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}

@@ -82,6 +82,17 @@ var Windows = OSProfile{
 // OSProfiles lists the three evaluated endpoint profiles in paper order.
 func OSProfiles() []OSProfile { return []OSProfile{Linux, MacOS, Windows} }
 
+// OSByName returns the built-in profile named name ("linux", "macos" or
+// "windows"), or nil for any other name.
+func OSByName(name string) *OSProfile {
+	for _, p := range []*OSProfile{&Linux, &MacOS, &Windows} {
+		if p.Name == name {
+			return p
+		}
+	}
+	return nil
+}
+
 // Accepts reports whether a packet with the given defects passes the OS
 // validation layer. The second result is true when the packet is rejected
 // *with* a RST response rather than silently.

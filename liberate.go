@@ -21,8 +21,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/dpi"
 	"repro/internal/netem"
-	"repro/internal/obs"
 	"repro/internal/netem/stack"
+	"repro/internal/obs"
 	"repro/internal/replay"
 	"repro/internal/trace"
 )
