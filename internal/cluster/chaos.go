@@ -163,8 +163,8 @@ func (cc *chaosConn) pumpFrame() error {
 	if n > maxFrame {
 		return fmt.Errorf("cluster: chaos reader: frame of %d bytes exceeds limit", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(cc.conn, body); err != nil {
+	body, err := readBody(cc.conn, n)
+	if err != nil {
 		return err
 	}
 	switch cc.rd.fate(int(n)) {

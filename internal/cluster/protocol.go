@@ -155,8 +155,8 @@ func readMsg(r io.Reader) (*Msg, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("cluster: frame length %d exceeds limit", n)
 	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(r, data); err != nil {
+	data, err := readBody(r, n)
+	if err != nil {
 		return nil, fmt.Errorf("cluster: read frame body: %w", err)
 	}
 	var m Msg
@@ -164,6 +164,22 @@ func readMsg(r io.Reader) (*Msg, error) {
 		return nil, fmt.Errorf("cluster: decode frame: %w", err)
 	}
 	return &m, nil
+}
+
+// readBody reads an n-byte frame body. The buffer grows with the bytes
+// actually received, so a garbage header claiming up to maxFrame costs
+// nothing until a body that large arrives. Errors are io.ReadFull's:
+// io.EOF when no byte came, io.ErrUnexpectedEOF when the body was cut
+// short.
+func readBody(r io.Reader, n uint32) ([]byte, error) {
+	data, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err == nil && len(data) < int(n) {
+		err = io.ErrUnexpectedEOF
+		if len(data) == 0 {
+			err = io.EOF
+		}
+	}
+	return data, err
 }
 
 // RegistryHash digests everything that must agree between coordinator

@@ -471,10 +471,11 @@ func (m *Middlebox) inspectStateless(ctx netem.Context, dir netem.Direction, p *
 		di = 1
 	}
 	pg := m.prog
+	// The payload is scanned once, on the first rule that applies: most
+	// packets (every server payload, for a client-to-server rule set) have
+	// no applicable rule and are never scanned.
 	var hits uint64
-	if pg != nil {
-		hits = pg.matchOnce(p.Payload)
-	}
+	scanned := false
 	for i := range m.Cfg.Rules {
 		r := &m.Cfg.Rules[i]
 		if !m.ruleApplies(r, dirIdxToMatchDir(di), serverPort) {
@@ -482,6 +483,9 @@ func (m *Middlebox) inspectStateless(ctx netem.Context, dir netem.Direction, p *
 		}
 		matched := false
 		if pg != nil {
+			if !scanned {
+				hits, scanned = pg.matchOnce(p.Payload), true
+			}
 			matched = hits&pg.ruleMask[i] == pg.ruleMask[i]
 		} else {
 			matched = r.MatchBytes(p.Payload)

@@ -38,27 +38,38 @@ func MeasureEngagementAllocs() int64 {
 }
 
 // MeasureSchedulerAllocs returns the steady-state allocations per
-// schedule→fire round trip on a warmed clock at depth 1k. CI gates on it
-// being exactly zero: every event record lives in the wheel's index-
-// addressed slab, so a single heap allocation per op means a pointer
-// snuck back into the hot path.
+// schedule→fire round trip on a warmed clock at depth 1k, summed over the
+// wheel path (ScheduleIdx at spread delays) and the link lane
+// (ScheduleLink at a constant 1 ms, as netem's deliveries use it). CI
+// gates on it being exactly zero: every event record lives in the
+// index-addressed slab and lane entries are integers, so a single heap
+// allocation per op means a pointer snuck back into the hot path.
 func MeasureSchedulerAllocs() int64 {
+	wheel := measureRoundTrip(func(c *vclock.Clock, fn vclock.FnID, i int) {
+		c.ScheduleIdx(time.Millisecond+time.Duration(i*977%63000)*time.Microsecond, fn, 0)
+	})
+	lane := measureRoundTrip(func(c *vclock.Clock, fn vclock.FnID, _ int) {
+		c.ScheduleLink(time.Millisecond, fn, 0)
+	})
+	return wheel + lane
+}
+
+// measureRoundTrip returns the allocations per Step + schedule round trip
+// on a clock holding 1k pending events.
+func measureRoundTrip(schedule func(c *vclock.Clock, fn vclock.FnID, i int)) int64 {
 	r := testing.Benchmark(func(b *testing.B) {
 		c := vclock.New()
 		fn := c.RegisterFn(func(uint32) {})
-		delay := func(i int) time.Duration {
-			return time.Millisecond + time.Duration(i*977%63000)*time.Microsecond
-		}
-		// Warm past the first wrap so slab/wheel growth is done before
-		// measurement starts.
+		// Warm past the first wrap so slab/wheel/lane growth is done
+		// before measurement starts.
 		for i := 0; i < 1<<10; i++ {
-			c.ScheduleIdx(delay(i), fn, 0)
+			schedule(c, fn, i)
 		}
 		for i := 0; i < 1<<12; i++ {
 			if ok, err := c.Step(); err != nil || !ok {
 				b.Fatal("empty clock during warmup")
 			}
-			c.ScheduleIdx(delay(i), fn, 0)
+			schedule(c, fn, i)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -66,7 +77,7 @@ func MeasureSchedulerAllocs() int64 {
 			if ok, err := c.Step(); err != nil || !ok {
 				b.Fatal("empty clock mid-benchmark")
 			}
-			c.ScheduleIdx(delay(i), fn, 0)
+			schedule(c, fn, i)
 		}
 	})
 	return r.AllocsPerOp()

@@ -32,7 +32,10 @@ type Hop struct {
 // Name implements Element.
 func (h *Hop) Name() string { return h.Label }
 
-// Process implements Element.
+// Process implements Element. Env forwards a frame that survives a hop
+// without DropDefects itself, without calling Process (see
+// Env.deliverBatch); Process still runs for expiry, short garbage,
+// DropDefects hops, and every delivery while Env.Trace is set.
 func (h *Hop) Process(ctx Context, dir Direction, f *packet.Frame) {
 	if f.Len() < 20 {
 		return // unroutable garbage
@@ -69,7 +72,7 @@ func (h *Hop) Process(ctx Context, dir Direction, f *packet.Frame) {
 	// The TTL decrement is lazy until something downstream reads the bytes,
 	// and the RFC 1624 incremental update keeps a warm parse cache valid
 	// across the hop — routers neither copy nor re-parse in the fast path.
-	ctx.Forward(f.WithTTLDecremented())
+	ctx.Forward(f.WithTTLDecrementedBy(1))
 }
 
 // Filter drops packets matching a predicate or defect set, in one or both

@@ -191,12 +191,14 @@ type Env struct {
 }
 
 // delivery is one in-flight link traversal: frame f arriving at position
-// pos moving in dir. Deliveries are carried by value inside a Batch so
-// the per-packet hot path schedules and boxes nothing per frame.
+// pos moving in dir, owing dec TTL decrements from the plain hops it has
+// crossed (see deliverBatch). Deliveries are carried by value inside a
+// Batch so the per-packet hot path schedules and boxes nothing per frame.
 type delivery struct {
 	pos int
 	dir Direction
 	f   *packet.Frame
+	dec uint8
 }
 
 // Batch is one scheduler event's worth of link traversals: a run of
@@ -422,14 +424,17 @@ func (e *Env) Release() {
 // schedule call join the open Batch instead of costing a scheduler event
 // each: a burst of segments (and the ACKs, forwards, and re-emissions it
 // triggers downstream) rides the path as runs of frames per virtual tick.
-func (e *Env) move(idx int, dir Direction, f *packet.Frame) {
+func (e *Env) move(idx int, dir Direction, f *packet.Frame) { e.moveDec(idx, dir, f, 0) }
+
+// moveDec is move for a frame that owes dec TTL decrements.
+func (e *Env) moveDec(idx int, dir Direction, f *packet.Frame, dec uint8) {
 	next := idx + 1
 	if dir == ToClient {
 		next = idx - 1
 	}
 	at := e.Clock.NowNS() + int64(e.LinkDelay)
 	if b := e.open; b != nil && b.at == at && e.Clock.Seq() == b.seq {
-		b.recs = append(b.recs, delivery{pos: next, dir: dir, f: f})
+		b.recs = append(b.recs, delivery{pos: next, dir: dir, f: f, dec: dec})
 		return
 	}
 	if !e.fnsBound {
@@ -446,9 +451,9 @@ func (e *Env) move(idx int, dir Direction, f *packet.Frame) {
 		bid = uint32(len(e.batches))
 		e.batches = append(e.batches, b)
 	}
-	b.recs = append(b.recs[:0], delivery{pos: next, dir: dir, f: f})
+	b.recs = append(b.recs[:0], delivery{pos: next, dir: dir, f: f, dec: dec})
 	b.at = at
-	e.Clock.ScheduleIdx(e.LinkDelay, e.deliverID, bid)
+	e.Clock.ScheduleLink(e.LinkDelay, e.deliverID, bid)
 	b.seq = e.Clock.Seq() // fence: any later schedule call seals the batch
 	e.open = b
 }
@@ -465,15 +470,41 @@ func (e *Env) bindFns() {
 // deliverBatch fires one delivery run. The batch is closed to appends
 // before the first record is processed, and its slot is released for
 // reuse only after the run completes (nested moves open fresh batches).
+//
+// A record reaching a plain Hop that the frame survives is forwarded
+// right here, at the point in the loop where Hop.Process would have
+// called ctx.Forward, so the schedule order is unchanged; the hop's TTL
+// decrement rides along in the record instead of a new frame. The frame
+// is built once, with every owed decrement, when it reaches anything
+// else. Expiry, short garbage and DropDefects hops still run Process on
+// that frame, and so does every delivery while Env.Trace is set, so
+// those see the bytes they always saw.
 func (e *Env) deliverBatch(bid uint32) {
 	b := e.batches[bid]
 	if e.open == b {
 		e.open = nil
 	}
+	if len(e.delivered) < len(e.elements)+2 {
+		e.delivered = append(e.delivered, make([]int, len(e.elements)+2-len(e.delivered))...)
+	}
 	for i := 0; i < len(b.recs); i++ {
 		r := b.recs[i]
 		b.recs[i].f = nil
-		e.deliver(r.pos, r.dir, r.f)
+		if r.pos >= 0 && r.pos < len(e.elements) && e.Trace == nil {
+			if h, ok := e.elements[r.pos].(*Hop); ok && h.DropDefects.Empty() && r.f.Len() >= 20 && r.f.TTL()-r.dec > 1 {
+				e.delivered[r.pos+1]++
+				if e.traced {
+					e.rec.Add(obs.CtrDeliveries, 1)
+				}
+				e.moveDec(r.pos, r.dir, r.f, r.dec+1)
+				continue
+			}
+		}
+		f := r.f
+		if r.dec > 0 {
+			f = f.WithTTLDecrementedBy(r.dec)
+		}
+		e.deliver(r.pos, r.dir, f)
 	}
 	b.recs = b.recs[:0]
 	e.bfree = append(e.bfree, bid)
@@ -513,9 +544,6 @@ func (e *Env) deferIdx(did uint32) {
 }
 
 func (e *Env) deliver(pos int, dir Direction, f *packet.Frame) {
-	if len(e.delivered) < len(e.elements)+2 {
-		e.delivered = append(e.delivered, make([]int, len(e.elements)+2-len(e.delivered))...)
-	}
 	if e.traced {
 		e.rec.Add(obs.CtrDeliveries, 1)
 	}

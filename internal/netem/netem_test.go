@@ -267,3 +267,46 @@ func TestRTT(t *testing.T) {
 		t.Fatalf("RTT = %v, want 8ms", got)
 	}
 }
+
+// TestPlainHopForwardMatchesProcess: Env forwards frames across plain hops
+// from the delivery record, but while Env.Trace is set every hop runs
+// Process instead. Both paths must deliver the same bytes at the same
+// instants in both directions — including expiry mid-path, the ICMP it
+// quotes, and a DropDefects hop among plain ones.
+func TestPlainHopForwardMatchesProcess(t *testing.T) {
+	run := func(traced bool) string {
+		clock, env, _, _ := buildPath(5)
+		env.Elements()[2] = &Hop{Label: "strict", Addr: packet.AddrFrom("10.1.0.3"), EmitICMP: true,
+			DropDefects: packet.SetOf(packet.DefectIPChecksum)}
+		var log bytes.Buffer
+		ep := func(who string) Endpoint {
+			return EndpointFunc(func(raw []byte) { log.WriteString(who + clock.Now().Format(time.StampNano) + string(raw) + "|") })
+		}
+		env.SetServer(ep("S"))
+		env.SetClient(ep("C"))
+		if traced {
+			env.Trace = func(string, Direction, []byte) {}
+		}
+		for ttl := uint8(0); ttl <= 7; ttl++ {
+			p := packet.NewTCP(cAddr, sAddr, 40000, 80, uint32(ttl), 0, packet.FlagACK, []byte("payload"))
+			p.IP.TTL = ttl
+			p.Finalize()
+			if ttl%2 == 1 {
+				p.IP.Checksum ^= 0x5555 // the strict hop drops these
+			}
+			env.FromClient(p.Serialize())
+			q := packet.NewTCP(sAddr, cAddr, 80, 40000, uint32(ttl), 0, packet.FlagACK, []byte("reply"))
+			q.IP.TTL = ttl
+			q.Finalize()
+			env.FromServer(q.Serialize())
+			clock.Sleep(time.Millisecond / 3)
+		}
+		if err := clock.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return log.String()
+	}
+	if got, want := run(false), run(true); got != want {
+		t.Fatalf("forwarding from the delivery record diverges from Hop.Process:\n got %q\nwant %q", got, want)
+	}
+}

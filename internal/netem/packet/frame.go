@@ -111,26 +111,27 @@ func (f *Frame) Parse() (*Packet, DefectSet) {
 // Parsed reports whether the parse cache is populated.
 func (f *Frame) Parsed() bool { return f.pkt != nil }
 
-// WithTTLDecremented returns a new frame whose TTL is one lower, with the
-// IP header checksum incrementally updated per RFC 1624. The update
-// preserves checksum *wrongness*: a deliberately corrupted checksum stays
-// exactly as wrong after the hop, just as through a real router. The frame
-// must hold at least a 20-byte IP header (routers discard shorter garbage
-// before decrementing).
+// WithTTLDecrementedBy returns a new frame whose TTL is n lower — the
+// frame after n routers — with the IP header checksum incrementally
+// updated per RFC 1624, one decrement at a time. The update preserves
+// checksum *wrongness*: a deliberately corrupted checksum stays exactly as
+// wrong after the hops, just as through real routers. The frame must hold
+// at least a 20-byte IP header (routers discard shorter garbage before
+// decrementing) and a TTL above n.
 //
 // The decrement is always lazy: the new frame shares the raw buffer (and
-// any cached parse) with its parent and just records one more pending
-// decrement, so a run of routers costs one small allocation per hop and
-// zero copies. The first downstream reader pays for one copy and — when the
+// any cached parse) with its parent and just records n more pending
+// decrements, so a run of routers costs one small allocation and zero
+// copies. The first downstream reader pays for one copy and — when the
 // parent had a warm parse — one shallow parse patch, so a datagram still
 // parses at most once across any number of routers.
-func (f *Frame) WithTTLDecremented() *Frame {
+func (f *Frame) WithTTLDecrementedBy(n uint8) *Frame {
 	if f.ar != nil {
 		nf := f.ar.frame()
-		*nf = Frame{raw: f.raw, ttlDelta: f.ttlDelta + 1, pkt: f.pkt, defects: f.defects, ar: f.ar, psVal: f.psVal, psN: f.psN}
+		*nf = Frame{raw: f.raw, ttlDelta: f.ttlDelta + n, pkt: f.pkt, defects: f.defects, ar: f.ar, psVal: f.psVal, psN: f.psN}
 		return nf
 	}
-	return &Frame{raw: f.raw, ttlDelta: f.ttlDelta + 1, pkt: f.pkt, defects: f.defects, psVal: f.psVal, psN: f.psN}
+	return &Frame{raw: f.raw, ttlDelta: f.ttlDelta + n, pkt: f.pkt, defects: f.defects, psVal: f.psVal, psN: f.psN}
 }
 
 // decrementTTL lowers the TTL byte in place and incrementally updates the

@@ -75,26 +75,39 @@ func TestWithTTLDecremented(t *testing.T) {
 	f := NewFrame(p.Serialize())
 	f.Parse() // populate the cache so the patched copy is exercised too
 
-	g := f.WithTTLDecremented()
-	if f.Raw()[8] != 17 {
-		t.Fatal("original frame mutated")
-	}
-	if g.Raw()[8] != 16 {
-		t.Fatalf("TTL not decremented: %d", g.Raw()[8])
-	}
-	// The RFC 1624 incremental patch must agree with a full recompute.
-	q, d := Inspect(g.Raw())
-	if d.Has(DefectIPChecksum) {
-		t.Fatal("incremental checksum update produced an invalid header checksum")
-	}
-	if q.IP.TTL != 16 {
-		t.Fatalf("parsed TTL %d, want 16", q.IP.TTL)
-	}
-	// The patched cached parse must match a fresh parse of the new bytes.
-	gp, _ := g.Parse()
-	if gp.IP.TTL != 16 || gp.IP.Checksum != q.IP.Checksum {
-		t.Fatalf("cached parse out of sync: TTL=%d cs=%04x want TTL=16 cs=%04x",
-			gp.IP.TTL, gp.IP.Checksum, q.IP.Checksum)
+	// n = 1 is one router; n > 1 is a run of routers owed at once, which
+	// must equal the per-hop chain byte for byte.
+	for _, n := range []uint8{1, 2, 7, 16} {
+		g := f.WithTTLDecrementedBy(n)
+		if f.Raw()[8] != 17 {
+			t.Fatal("original frame mutated")
+		}
+		want := 17 - n
+		if g.Raw()[8] != want {
+			t.Fatalf("n=%d: TTL %d, want %d", n, g.Raw()[8], want)
+		}
+		// The RFC 1624 incremental patch must agree with a full recompute.
+		q, d := Inspect(g.Raw())
+		if d.Has(DefectIPChecksum) {
+			t.Fatalf("n=%d: incremental checksum update produced an invalid header checksum", n)
+		}
+		if q.IP.TTL != want {
+			t.Fatalf("n=%d: parsed TTL %d, want %d", n, q.IP.TTL, want)
+		}
+		// The patched cached parse must match a fresh parse of the new bytes.
+		gp, _ := g.Parse()
+		if gp.IP.TTL != want || gp.IP.Checksum != q.IP.Checksum {
+			t.Fatalf("n=%d: cached parse out of sync: TTL=%d cs=%04x want TTL=%d cs=%04x",
+				n, gp.IP.TTL, gp.IP.Checksum, want, q.IP.Checksum)
+		}
+		// A chain of single decrements lands on the same bytes.
+		chain := f
+		for i := uint8(0); i < n; i++ {
+			chain = chain.WithTTLDecrementedBy(1)
+		}
+		if !bytes.Equal(chain.Raw(), g.Raw()) {
+			t.Fatalf("n=%d: batched decrement differs from the per-hop chain", n)
+		}
 	}
 }
 
@@ -109,7 +122,7 @@ func TestWithTTLDecrementedPreservesBadChecksum(t *testing.T) {
 	if _, d := f.Parse(); !d.Has(DefectIPChecksum) {
 		t.Fatal("setup: checksum not actually corrupt")
 	}
-	g := f.WithTTLDecremented()
+	g := f.WithTTLDecrementedBy(1)
 	if _, d := g.Parse(); !d.Has(DefectIPChecksum) {
 		t.Fatal("TTL decrement repaired a deliberately wrong checksum")
 	}

@@ -60,6 +60,40 @@ func BenchmarkCancelHeavy(b *testing.B) {
 	}
 }
 
+// BenchmarkScheduleLink measures netem's per-hop pattern: depth frames in
+// flight on 1 ms links, staggered across the link delay, each firing
+// forwarding the next hop. via=link schedules through the lane, via=idx
+// through ScheduleIdx for comparison; both fire the same events in the
+// same order.
+func BenchmarkScheduleLink(b *testing.B) {
+	for _, via := range []string{"link", "idx"} {
+		for _, depth := range []int{16, 1 << 10} {
+			b.Run(fmt.Sprintf("via=%s/depth=%d", via, depth), func(b *testing.B) {
+				c := New()
+				fn := c.RegisterFn(func(uint32) {})
+				hop := c.ScheduleLink
+				if via == "idx" {
+					hop = c.ScheduleIdx
+				}
+				for i := 0; i < depth; i++ {
+					hop(time.Millisecond, fn, 0)
+					if err := c.RunFor(time.Millisecond / time.Duration(depth)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if ok, err := c.Step(); err != nil || !ok {
+						b.Fatal("empty clock mid-benchmark")
+					}
+					hop(time.Millisecond, fn, 0)
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkSameInstant64 schedules a 64-event same-instant batch, then
 // drains it. Events 2..64 take the due-ring append fast path and the
 // drain dispatches them without touching the wheel.

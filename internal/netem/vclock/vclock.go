@@ -60,11 +60,11 @@ const (
 // Event locations. Wheel buckets and the overflow list hold live events
 // only — Stop unlinks immediately — which is what lets the staging search
 // advance the cursor knowing every candidate it chases is real. Staged
-// events (near buffer or due ring) are cancelled by marking: the pop
-// pipeline skips dead entries, and a parked cursor is never advanced by
-// them.
+// events (near buffer, due ring, or link lane) are cancelled by marking:
+// the pop pipeline skips dead entries, and a parked cursor is never
+// advanced by them.
 const (
-	locStaged   uint8 = iota // in the near buffer or due ring
+	locStaged   uint8 = iota // in the near buffer, due ring, or link lane
 	locWheel                 // in bucket[lvl][idx]
 	locOverflow              // in the overflow list
 )
@@ -86,8 +86,8 @@ type eventRec struct {
 	idx  uint8 // wheel bucket index, valid when loc == locWheel
 }
 
-// nearEnt is one staged event of the tick currently being drained, sorted
-// by (at, seq). Pointer-free like the slab.
+// nearEnt is one staged event of the tick currently being drained, or one
+// link-lane event, kept in (at, seq) order. Pointer-free like the slab.
 type nearEnt struct {
 	at  int64
 	seq uint64
@@ -185,6 +185,13 @@ type Clock struct {
 	nearHead int
 	curTick  int64
 
+	// lane is the link lane (ScheduleLink): a FIFO whose append order is
+	// already (at, seq) order, so its events skip wheel placement, staging
+	// and the near-buffer sort. laneHead indexes its first unconsumed
+	// entry. Lane events whose tick is curTick belong to the staged tick.
+	lane     []nearEnt
+	laneHead int
+
 	// depth counts nested callback dispatches; >0 means a callback is on
 	// the stack, which is what arms the due-ring and Immediate fast paths.
 	depth int
@@ -268,6 +275,42 @@ func (c *Clock) ScheduleIdx(d time.Duration, fn FnID, arg uint32) Timer {
 		d = 0
 	}
 	return c.scheduleNS(c.now+int64(d), kindIdx, uint32(fn), arg)
+}
+
+// ScheduleLink is ScheduleIdx for events a link schedules at a constant
+// delay d (netem's per-hop deliveries). Such events are scheduled at
+// now+d while now only grows, so in seq order their instants never
+// decrease and a FIFO holds them in exact (at, seq) order. The lane takes
+// an event only when that order and the wheel's bookkeeping are provably
+// unaffected; otherwise — d ≤ 0, an instant at or before a live due
+// instant, one earlier than the lane's tail, or one beyond wheel level 0
+// — it falls back to ScheduleIdx. Either way the firing order and the
+// vclock_* counters are exactly ScheduleIdx's (DESIGN.md §14).
+func (c *Clock) ScheduleLink(d time.Duration, fn FnID, arg uint32) Timer {
+	at := c.now + int64(d)
+	n := len(c.lane)
+	if d <= 0 ||
+		(c.dueHead < len(c.due) && at <= c.dueAt) ||
+		(c.laneHead < n && at < c.lane[n-1].at) ||
+		at>>tickBits-c.wh.cursor >= slots {
+		return c.ScheduleIdx(d, fn, arg)
+	}
+	switch {
+	case c.laneHead == n:
+		c.lane = c.lane[:0]
+		c.laneHead = 0
+	case n == cap(c.lane) && c.laneHead >= n/2:
+		// Reclaim the consumed front instead of growing.
+		c.lane = c.lane[:copy(c.lane, c.lane[c.laneHead:])]
+		c.laneHead = 0
+	}
+	c.seq++
+	h := c.newHandle()
+	r := &c.slab[h]
+	r.at, r.seq, r.fn, r.arg, r.kind, r.loc = at, c.seq, uint32(fn), arg, kindIdx, locStaged
+	c.live++
+	c.lane = append(c.lane, nearEnt{at: at, seq: c.seq, h: h})
+	return Timer{c: c, h: h, gen: r.gen}
 }
 
 // Schedule runs fn after d of virtual time has elapsed. A negative d is
@@ -537,14 +580,17 @@ func (c *Clock) overflowRemove(h uint32) {
 }
 
 // earliest returns the lowest tick that might hold the next event: the
-// exact tick for level 0, the span start for higher levels (a lower bound
-// the caller refines by cascading), or the cached overflow minimum.
-// fromOverflow reports that the overflow list supplied the bound.
-func (w *wheel) earliest() (t int64, fromOverflow, ok bool) {
-	best := int64(math.MaxInt64)
+// exact tick for level 0 (or laneTick, the link lane's head tick, which
+// counts as a level-0 resident), the span start for higher levels (a
+// lower bound the caller refines by cascading), or the cached overflow
+// minimum. fromOverflow reports that the overflow list supplied the bound.
+func (w *wheel) earliest(laneTick int64) (t int64, fromOverflow, ok bool) {
+	best := laneTick
 	if w.occ[0] != 0 {
 		q := bits.TrailingZeros64(bits.RotateLeft64(w.occ[0], -int(w.cursor&(slots-1))))
-		best = w.cursor + int64(q)
+		if cand := w.cursor + int64(q); cand < best {
+			best = cand
+		}
 	}
 	for l := 1; l < levels; l++ {
 		if w.occ[l] == 0 {
@@ -656,14 +702,21 @@ func (c *Clock) drainOverflow() {
 }
 
 // stage advances the cursor to the next occupied tick at or below
-// limitTick, pulls that tick's live events into the sorted near buffer,
-// and records it as curTick. It reports false when no event lives at or
+// limitTick, pulls that tick's live wheel events into the sorted near
+// buffer, and records it as curTick. The link lane's head counts as a
+// level-0 resident, so the cursor stops exactly where it would if lane
+// events sat in the wheel; the lane's events of curTick stay in the lane
+// and next merges them in. It reports false when no event lives at or
 // below the limit (the cursor then stays put, so later schedules into the
 // gap remain placeable).
 func (c *Clock) stage(limitTick int64) bool {
 	w := &c.wh
+	laneTick := int64(math.MaxInt64)
+	if at := c.laneFront(); at != math.MaxInt64 {
+		laneTick = at >> tickBits
+	}
 	for {
-		t, fromOverflow, ok := w.earliest()
+		t, fromOverflow, ok := w.earliest(laneTick)
 		if !ok || t > limitTick {
 			return false
 		}
@@ -673,14 +726,18 @@ func (c *Clock) stage(limitTick int64) bool {
 			continue
 		}
 		idx := t & (slots - 1)
+		c.near = c.near[:0]
+		c.nearHead = 0
 		if w.occ[0]&(1<<idx) == 0 {
+			if t == laneTick {
+				c.curTick = t // the tick's events are all in the lane
+				return true
+			}
 			continue // span-start bound only; re-search after the cascade
 		}
 		h := w.bucket[0][idx]
 		w.bucket[0][idx] = noHandle
 		w.occ[0] &^= 1 << idx
-		c.near = c.near[:0]
-		c.nearHead = 0
 		for h != noHandle {
 			r := &c.slab[h]
 			nexth := r.next
@@ -706,9 +763,53 @@ func (c *Clock) stage(limitTick int64) bool {
 	}
 }
 
+// laneFront recycles cancelled entries at the head of the link lane and
+// returns the instant of the first live one, MaxInt64 when none is left.
+func (c *Clock) laneFront() int64 {
+	for c.laneHead < len(c.lane) {
+		en := c.lane[c.laneHead]
+		if !c.slab[en.h].dead {
+			return en.at
+		}
+		c.recycleHandle(en.h)
+		c.laneHead++
+	}
+	return math.MaxInt64
+}
+
+// promote moves the run of live events at instant at — the near buffer's
+// and the link lane's, merged by seq — into the due ring, where
+// same-instant schedules can join it FIFO.
+func (c *Clock) promote(at int64) {
+	c.dueAt = at
+	i, j := c.nearHead, c.laneHead
+	for {
+		var en nearEnt
+		inNear := i < len(c.near) && c.near[i].at == at
+		inLane := j < len(c.lane) && c.lane[j].at == at
+		switch {
+		case inNear && (!inLane || c.near[i].seq < c.lane[j].seq):
+			en = c.near[i]
+			i++
+		case inLane:
+			en = c.lane[j]
+			j++
+		default:
+			c.nearHead, c.laneHead = i, j
+			return
+		}
+		if c.slab[en.h].dead {
+			c.recycleHandle(en.h)
+		} else {
+			c.due = append(c.due, en.h)
+		}
+	}
+}
+
 // next pops the earliest live event with at ≤ limit, walking the pop
-// pipeline: due ring → near buffer → wheel. It reports false when nothing
-// fires at or before the limit; staged-but-beyond-limit events stay staged.
+// pipeline: due ring → staged tick (near buffer and link lane) → wheel. It
+// reports false when nothing fires at or before the limit;
+// staged-but-beyond-limit events stay staged.
 func (c *Clock) next(limit int64) (h uint32, at int64, ok bool) {
 	for {
 		for c.dueHead < len(c.due) {
@@ -728,38 +829,32 @@ func (c *Clock) next(limit int64) (h uint32, at int64, ok bool) {
 			c.due = c.due[:0]
 			c.dueHead = 0
 		}
+		// The staged tick's next instant: the near buffer's head or the
+		// lane's head, when the latter falls in the staged tick.
+		at = math.MaxInt64
 		for c.nearHead < len(c.near) {
 			en := c.near[c.nearHead]
-			if c.slab[en.h].dead {
-				c.recycleHandle(en.h)
-				c.nearHead++
-				continue
+			if !c.slab[en.h].dead {
+				at = en.at
+				break
 			}
-			if en.at > limit {
+			c.recycleHandle(en.h)
+			c.nearHead++
+		}
+		if la := c.laneFront(); la < at && la>>tickBits == c.curTick {
+			at = la
+		}
+		if at != math.MaxInt64 {
+			if at > limit {
 				return 0, 0, false
 			}
-			// Promote the run of events sharing this instant to the due
-			// ring, where same-instant schedules can join it FIFO.
-			c.dueAt = en.at
-			j := c.nearHead
-			for j < len(c.near) && c.near[j].at == en.at {
-				if c.slab[c.near[j].h].dead {
-					c.recycleHandle(c.near[j].h)
-				} else {
-					c.due = append(c.due, c.near[j].h)
-				}
-				j++
-			}
-			c.nearHead = j
-			break
-		}
-		if c.dueHead < len(c.due) {
+			c.promote(at)
 			continue
 		}
 		c.near = c.near[:0]
 		c.nearHead = 0
 		c.curTick = -1
-		if c.wh.count == 0 && len(c.wh.overflow) == 0 {
+		if c.wh.count == 0 && len(c.wh.overflow) == 0 && c.laneHead == len(c.lane) {
 			return 0, 0, false
 		}
 		if !c.stage(limit >> tickBits) {
@@ -785,6 +880,9 @@ func (c *Clock) Fork() *Clock {
 	nc := New()
 	nc.now, nc.seq, nc.Budget, nc.fired = c.now, c.seq, c.Budget, c.fired
 	nc.wh.cursor = c.now >> tickBits
+	// Size the fork's lane like the parent's so a trial replay does not
+	// regrow it from nothing.
+	nc.lane = make([]nearEnt, 0, cap(c.lane))
 	return nc
 }
 
@@ -802,9 +900,9 @@ func (c *Clock) Pending() int { return c.live }
 // fast-path fence rules in DESIGN.md §14).
 //
 // Every event pending at the current instant lives in the due ring while a
-// callback is dispatching — later events of a staged tick sit in near at
-// strictly later instants, and unstaged wheel events are at later ticks —
-// so the check is two integer comparisons.
+// callback is dispatching — later events of a staged tick sit in near or
+// the lane at strictly later instants, and unstaged wheel and lane events
+// are at later ticks — so the check is two integer comparisons.
 func (c *Clock) Immediate() bool {
 	return c.depth > 0 && c.dueHead >= len(c.due)
 }

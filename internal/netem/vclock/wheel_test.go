@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // The differential harness drives the timing wheel and a brute-force
@@ -19,9 +21,16 @@ import (
 // so any divergence indicts the wheel's routing, cascade, or staging
 // logic, never the oracle.
 
+// laneDelay is the link lane's constant delay in the scripts: just under
+// one tick, like netem's default LinkDelay.
+const laneDelay = int64(time.Millisecond)
+
 // sched abstracts the two implementations behind one driving surface.
 type sched interface {
 	schedule(delayNS int64, kindSel int, fn func()) (stop func() bool)
+	// scheduleLink schedules through the link lane (the reference treats
+	// it as a plain schedule).
+	scheduleLink(delayNS int64, fn func()) (stop func() bool)
 	scheduleAt(atNS int64, fn func())
 	step() (bool, error)
 	run() error
@@ -34,11 +43,16 @@ type sched interface {
 
 // wheelSched adapts *Clock. kindSel picks the public scheduling API so the
 // closure, pair, and registered-index paths all get differential coverage.
+// linkViaIdx routes scheduleLink through ScheduleIdx instead of the lane,
+// for the lane-parity test; rec, when set, collects the scheduler counters
+// of the clock and its forks.
 type wheelSched struct {
-	c     *Clock
-	reg   FnID
-	tramp []func() // trampoline slots for the ScheduleIdx path
-	free  []uint32
+	c          *Clock
+	reg        FnID
+	tramp      []func() // trampoline slots for the ScheduleIdx path
+	free       []uint32
+	linkViaIdx bool
+	rec        *obs.Buffer
 }
 
 func newWheelSched() *wheelSched {
@@ -64,18 +78,31 @@ func (w *wheelSched) schedule(delayNS int64, kindSel int, fn func()) func() bool
 	case 1:
 		t = w.c.ScheduleArg(time.Duration(delayNS), func(a any) { a.(func())() }, fn)
 	default:
-		var slot uint32
-		if n := len(w.free); n > 0 {
-			slot = w.free[n-1]
-			w.free = w.free[:n-1]
-			w.tramp[slot] = fn
-		} else {
-			w.tramp = append(w.tramp, fn)
-			slot = uint32(len(w.tramp) - 1)
-		}
-		t = w.c.ScheduleIdx(time.Duration(delayNS), w.reg, slot)
+		t = w.c.ScheduleIdx(time.Duration(delayNS), w.reg, w.slot(fn))
 	}
 	return t.Stop
+}
+
+func (w *wheelSched) scheduleLink(delayNS int64, fn func()) func() bool {
+	var t Timer
+	if w.linkViaIdx {
+		t = w.c.ScheduleIdx(time.Duration(delayNS), w.reg, w.slot(fn))
+	} else {
+		t = w.c.ScheduleLink(time.Duration(delayNS), w.reg, w.slot(fn))
+	}
+	return t.Stop
+}
+
+// slot parks fn in a trampoline slot for the registered-index paths.
+func (w *wheelSched) slot(fn func()) uint32 {
+	if n := len(w.free); n > 0 {
+		slot := w.free[n-1]
+		w.free = w.free[:n-1]
+		w.tramp[slot] = fn
+		return slot
+	}
+	w.tramp = append(w.tramp, fn)
+	return uint32(len(w.tramp) - 1)
 }
 
 func (w *wheelSched) scheduleAt(atNS int64, fn func()) {
@@ -89,7 +116,10 @@ func (w *wheelSched) nowNS() int64              { return w.c.NowNS() }
 func (w *wheelSched) seq() uint64               { return w.c.Seq() }
 func (w *wheelSched) pending() int              { return w.c.Pending() }
 func (w *wheelSched) fork() sched {
-	nw := &wheelSched{c: w.c.Fork()}
+	nw := &wheelSched{c: w.c.Fork(), linkViaIdx: w.linkViaIdx, rec: w.rec}
+	if w.rec != nil {
+		nw.c.SetRecorder(w.rec)
+	}
 	nw.bind()
 	return nw
 }
@@ -114,6 +144,10 @@ func (r *refSched) schedule(delayNS int64, _ int, fn func()) func() bool {
 		delayNS = 0
 	}
 	return r.at(r.now+delayNS, fn)
+}
+
+func (r *refSched) scheduleLink(delayNS int64, fn func()) func() bool {
+	return r.schedule(delayNS, 0, fn)
 }
 
 func (r *refSched) scheduleAt(atNS int64, fn func()) { r.at(atNS, fn) }
@@ -244,6 +278,8 @@ func runScript(s sched, data []byte) string {
 						k := id % len(stops)
 						fmt.Fprintf(&log, "nested-stop %d %v\n", k, stops[k]())
 					}
+				case 3: // a delivery forwarding over the next link
+					stops = append(stops, s.scheduleLink(laneDelay, mkFn(depth+1)))
 				}
 			}
 		}
@@ -251,7 +287,7 @@ func runScript(s sched, data []byte) string {
 
 	for i := 0; i+1 < len(data); i += 2 {
 		op, p := data[i], data[i+1]
-		switch op % 7 {
+		switch op % 8 {
 		case 0, 1: // schedule (weighted: most common op)
 			d := delayFor(p, rng)
 			stops = append(stops, s.schedule(d, int(p), mkFn(0)))
@@ -288,6 +324,43 @@ func runScript(s sched, data []byte) string {
 				fmt.Fprintf(&log, "fork err %v\n", err)
 			}
 			fmt.Fprintf(&log, "fork done seq %d @%d\n", f.seq(), f.nowNS())
+		case 7: // link lane
+			switch p % 8 {
+			case 0, 1, 2: // one link hop
+				stops = append(stops, s.scheduleLink(laneDelay, mkFn(0)))
+			case 3: // a burst of hops at one instant
+				for n := 0; n < int(p%5)+2; n++ {
+					stops = append(stops, s.scheduleLink(laneDelay, mkFn(0)))
+				}
+			case 4: // an idle gap past the wheel horizon, then a hop
+				gap := int64(1)<<tickBits*horizonTicks + int64(p)<<20
+				if err := s.runUntil(s.nowNS() + gap); err != nil {
+					fmt.Fprintf(&log, "gap err %v\n", err)
+				}
+				fmt.Fprintf(&log, "gap @%d pend %d\n", s.nowNS(), s.pending())
+				stops = append(stops, s.scheduleLink(laneDelay, mkFn(0)))
+			case 5: // fork at quiescence; the fork forwards over links
+				if err := s.run(); err != nil {
+					fmt.Fprintf(&log, "drain err %v\n", err)
+				}
+				f := s.fork()
+				for n := 0; n < 3; n++ {
+					f.scheduleLink(laneDelay, func() {
+						fmt.Fprintf(&log, "fork-link %d @%d\n", n, f.nowNS())
+						if n == 0 {
+							f.scheduleLink(laneDelay, func() { fmt.Fprintf(&log, "fork-link-next @%d\n", f.nowNS()) })
+						}
+					})
+				}
+				if err := f.run(); err != nil {
+					fmt.Fprintf(&log, "fork err %v\n", err)
+				}
+				fmt.Fprintf(&log, "fork-lane done seq %d @%d\n", f.seq(), f.nowNS())
+			case 6: // another delay, mostly earlier than the lane tail
+				stops = append(stops, s.scheduleLink(int64(p)<<12, mkFn(0)))
+			default: // a zero or negative delay
+				stops = append(stops, s.scheduleLink(-int64(p%2), mkFn(0)))
+			}
 		}
 	}
 	if err := s.run(); err != nil {
@@ -299,6 +372,49 @@ func runScript(s sched, data []byte) string {
 
 func nextIDCheck(log *strings.Builder, s sched) {
 	fmt.Fprintf(log, "pend %d seq %d\n", s.pending(), s.seq())
+}
+
+// TestLaneMatchesScheduleIdx is the lane's parity contract: the same
+// script with every link schedule routed through ScheduleLink on one clock
+// and through ScheduleIdx on another must fire identically and leave the
+// scheduler counters — fired, fast-path, and cascades — equal. Equal
+// cascades mean the lane advances the wheel cursor exactly where staging
+// the same events from the wheel would have.
+func TestLaneMatchesScheduleIdx(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x1a7e))
+	for script := 0; script < 300; script++ {
+		n := 8 + rng.Intn(160)
+		data := make([]byte, n)
+		rng.Read(data)
+		// Bias toward lane ops so most scripts keep the lane busy.
+		for i := 0; i+1 < len(data); i += 2 {
+			if data[i]%3 == 0 {
+				data[i] = 7
+			}
+		}
+		laneParity(t, data)
+	}
+}
+
+func laneParity(t *testing.T, data []byte) {
+	t.Helper()
+	run := func(viaIdx bool) (string, map[string]int64) {
+		w := newWheelSched()
+		w.linkViaIdx = viaIdx
+		w.rec = obs.NewBuffer()
+		w.c.SetRecorder(w.rec)
+		return runScript(w, data), w.rec.CounterMap()
+	}
+	lane, laneCtr := run(false)
+	idx, idxCtr := run(true)
+	if lane != idx {
+		t.Fatalf("lane and ScheduleIdx logs diverge (script %x)", data)
+	}
+	for _, k := range []string{"vclock_fired", "vclock_fastpath", "vclock_cascades"} {
+		if laneCtr[k] != idxCtr[k] {
+			t.Fatalf("%s: lane %d, ScheduleIdx %d (script %x)", k, laneCtr[k], idxCtr[k], data)
+		}
+	}
 }
 
 func diffScripts(t *testing.T, data []byte) {
@@ -373,10 +489,16 @@ func FuzzWheelVsHeap(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 16, 0, 32, 4, 9, 0, 48, 3, 1, 5, 2})
 	f.Add([]byte{0, 6, 0, 6, 4, 200, 0, 5, 6, 7, 0, 0, 5, 3})
 	f.Add([]byte{2, 255, 0, 7, 3, 0, 0, 64, 4, 128, 0, 0, 0, 1, 5, 1, 6, 9})
+	// Link-lane scripts: hops and bursts among wheel events, a cancel, a
+	// deadline that parks the pipeline, a horizon-long idle gap, a fork at
+	// quiescence, and the fallback delays.
+	f.Add([]byte{7, 0, 0, 1, 7, 3, 3, 1, 7, 1, 4, 3, 7, 2, 5, 1, 7, 6, 7, 7})
+	f.Add([]byte{0, 3, 7, 4, 7, 0, 0, 2, 7, 5, 7, 11, 4, 9, 7, 3, 5, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 2048 {
 			t.Skip()
 		}
 		diffScripts(t, data)
+		laneParity(t, data)
 	})
 }
