@@ -32,30 +32,6 @@ func (NopObserver) EngagementStarted(Engagement, int) {}
 func (NopObserver) EngagementFinished(Result)         {}
 func (NopObserver) CampaignFinished(*Summary)         {}
 
-// MultiObserver fans events out to several observers in order.
-type MultiObserver []Observer
-
-func (m MultiObserver) CampaignStarted(total, workers int) {
-	for _, o := range m {
-		o.CampaignStarted(total, workers)
-	}
-}
-func (m MultiObserver) EngagementStarted(e Engagement, attempt int) {
-	for _, o := range m {
-		o.EngagementStarted(e, attempt)
-	}
-}
-func (m MultiObserver) EngagementFinished(res Result) {
-	for _, o := range m {
-		o.EngagementFinished(res)
-	}
-}
-func (m MultiObserver) CampaignFinished(s *Summary) {
-	for _, o := range m {
-		o.CampaignFinished(s)
-	}
-}
-
 // Progress is a terminal progress reporter: one line per finished
 // engagement with running counters, throughput, and ETA, plus a final
 // campaign line. Safe for concurrent use.

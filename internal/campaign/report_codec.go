@@ -321,5 +321,14 @@ func DecodeReport(data []byte) (*core.Report, error) {
 		}
 		r.Deployed = &v
 	}
+	// Every consumer reads Detection, and a differentiated or deployed
+	// report's Characterization and Evaluation; an engagement always
+	// records them, so a payload without them is not a report.
+	if r.Detection == nil {
+		return nil, fmt.Errorf("campaign: stored report has no detection")
+	}
+	if (r.Detection.Differentiated || r.Deployed != nil) && (r.Characterization == nil || r.Evaluation == nil) {
+		return nil, fmt.Errorf("campaign: stored report is missing its characterization or evaluation")
+	}
 	return r, nil
 }

@@ -101,6 +101,24 @@ func TestDecodeReportRejectsUnknownTechnique(t *testing.T) {
 	}
 }
 
+// TestDecodeReportRejectsPartial: a payload missing what every consumer
+// dereferences (the detection, and a differentiated report's
+// characterization and evaluation) is refused rather than handed on to
+// panic in WriteSummary, Aggregate or DeployTransform.
+func TestDecodeReportRejectsPartial(t *testing.T) {
+	for _, doc := range []string{
+		`{}`,
+		`null`,
+		`{"detection": {"differentiated": true}, "evaluation": {"verdicts": []}}`,
+		`{"detection": {"differentiated": true}, "characterization": {}}`,
+		`{"detection": {}, "deployed": {"technique": "ip-fragment"}}`,
+	} {
+		if _, err := DecodeReport([]byte(doc)); err == nil {
+			t.Errorf("DecodeReport(%s) accepted a partial report", doc)
+		}
+	}
+}
+
 // TestStoreWarmRunByteIdentical is the restart-durability contract: a
 // second run against a fresh Store handle on the same directory must be
 // served warm (zero misses) and emit byte-identical summary output,

@@ -43,7 +43,7 @@ type FingerprintResult struct {
 func (f *FingerprintResult) Identified() bool { return f != nil && f.Profile != "" }
 
 // RuledOutSet returns the pruning set for the evaluation phase, nil when
-// nothing was identified (nil-safe, so unarmed pipelines pass nil
+// nothing was identified (nil-safe, so unarmed engagements pass nil
 // through without branching).
 func (f *FingerprintResult) RuledOutSet() map[string]bool {
 	if f == nil || len(f.RuledOut) == 0 {
@@ -73,19 +73,22 @@ const (
 // accounting (rounds, bytes, merged events) joins back. The single fork
 // runs serially before any other phase, so the result is identical at
 // any worker count.
-func runFingerprint(s *Session) *FingerprintResult {
-	done := s.span(PhaseFingerprint)
+//
+// adopt, when non-nil, is precomputed probe evidence to use instead of
+// re-probing (see Liberate.Fingerprinted).
+func runFingerprint(s *Session, adopt *FingerprintResult) *FingerprintResult {
+	done := s.span("fingerprint")
 	defer done()
 	fp := &FingerprintResult{}
 
-	if pre := s.AdoptFingerprint; pre != nil {
+	if adopt != nil {
 		// Adopted evidence: the probes already ran against an identical
 		// replica of this network (probing a named profile is
 		// deterministic), so the observations — and their accounting — are
 		// exactly what re-probing would produce. The identification below
 		// still runs from the evidence, keeping one code path.
-		fp.Probes = pre.Probes
-		fp.Rounds, fp.Bytes, fp.Time = pre.Rounds, pre.Bytes, pre.Time
+		fp.Probes = adopt.Probes
+		fp.Rounds, fp.Bytes, fp.Time = adopt.Rounds, adopt.Bytes, adopt.Time
 		s.Rounds += fp.Rounds
 		s.BytesUsed += fp.Bytes
 	} else {
@@ -114,13 +117,13 @@ func runFingerprint(s *Session) *FingerprintResult {
 		s.rec().Record(obs.Event{
 			VNS:   s.vns(),
 			Kind:  obs.KindFPIdentify,
-			Actor: PhaseFingerprint,
+			Actor: "fingerprint",
 			Label: label,
 			Value: confPPM(fp.Confidence),
 			Aux:   int64(len(fp.RuledOut)),
 		})
 	}
-	s.verdict(PhaseFingerprint, label, confPPM(fp.Confidence), int64(len(fp.Probes)))
+	s.verdict("fingerprint", label, confPPM(fp.Confidence), int64(len(fp.Probes)))
 	return fp
 }
 
@@ -130,8 +133,7 @@ func runFingerprint(s *Session) *FingerprintResult {
 func FingerprintNetwork(net *dpi.Network, osp *stack.OSProfile) *FingerprintResult {
 	s := NewSession(net)
 	s.ServerOS = osp
-	s.Fingerprint = true
-	return runFingerprint(s)
+	return runFingerprint(s, nil)
 }
 
 // collectAmbiguityObservations runs the probe library in canonical order

@@ -11,7 +11,7 @@ import (
 )
 
 // Liberate orchestrates the phases of the paper against one network for
-// one recorded application trace, by driving the default phase Pipeline.
+// one recorded application trace.
 type Liberate struct {
 	Net   *dpi.Network
 	Trace *trace.Trace
@@ -27,11 +27,11 @@ type Liberate struct {
 	// four-phase runs.
 	Fingerprint bool
 	// Fingerprinted, when set alongside Fingerprint, is precomputed probe
-	// evidence the fingerprint phase adopts instead of re-probing (see
-	// Session.AdoptFingerprint).
+	// evidence the fingerprint phase adopts instead of re-probing. Probing
+	// a named profile is deterministic, so adopting yields the identical
+	// result with the identical accounting; campaign runners use it to
+	// probe each distinct network once per run.
 	Fingerprinted *FingerprintResult
-	// Pipeline substitutes a custom phase pipeline (nil = DefaultPipeline).
-	Pipeline *Pipeline
 }
 
 // Report is the complete engagement outcome.
@@ -57,35 +57,47 @@ type Report struct {
 	TotalTime   time.Duration
 }
 
-// Run drives the engagement pipeline — fingerprint (opt-in) → detect →
-// characterize → evaluate → deploy — and assembles the report.
+// Run drives the engagement — fingerprint (opt-in) → detect →
+// characterize → evaluate → deploy — and assembles the report. The three
+// phases after detect run only when differentiation was found.
 func (l *Liberate) Run() *Report {
 	s := NewSession(l.Net)
 	s.ServerOS = l.ServerOS
 	s.EvalWorkers = l.EvalWorkers
-	s.Fingerprint = l.Fingerprint
-	s.AdoptFingerprint = l.Fingerprinted
-	rep := &Report{Network: l.Net.Name, TraceName: l.Trace.Name}
+	rep := &Report{Network: l.Net.Name, TraceName: l.Trace.Name,
+		Characterization: &Characterization{}, Evaluation: &Evaluation{}}
 
-	pl := l.Pipeline
-	if pl == nil {
-		pl = DefaultPipeline()
-	}
 	done := s.span("engagement")
-	c := pl.Run(s, l.Trace)
+	if l.Fingerprint {
+		rep.Fingerprint = runFingerprint(s, l.Fingerprinted)
+	}
+	rep.Detection = Detect(s, l.Trace)
+	if rep.Detection.Differentiated {
+		rep.Characterization = Characterize(s, l.Trace, rep.Detection)
+		rep.Evaluation = evaluate(s, l.Trace, rep.Detection, rep.Characterization,
+			false, rep.Fingerprint.RuledOutSet())
+		rep.Deployed = deploy(s, rep.Evaluation)
+	}
 	done()
 
-	rep.Fingerprint = c.Fingerprint()
-	rep.Detection = c.Detection()
-	rep.Characterization = c.Characterization()
-	rep.Evaluation = c.Evaluation()
-	if d := c.Deployment(); d != nil {
-		rep.Deployed = d.Verdict
-	}
 	rep.TotalRounds = s.Rounds
 	rep.TotalBytes = s.BytesUsed
 	rep.TotalTime = s.Elapsed()
 	return rep
+}
+
+// deploy selects the cheapest working verdict, nil when nothing is
+// deployable.
+func deploy(s *Session, ev *Evaluation) *Verdict {
+	done := s.span("deploy")
+	defer done()
+	v := ev.Best()
+	label := "none"
+	if v != nil {
+		label = v.Technique.ID
+	}
+	s.verdict("deploy", label, confPPM(ev.MinConfidence()), 0)
+	return v
 }
 
 // DeployTransform builds the transform for live application flows using

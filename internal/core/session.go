@@ -32,16 +32,6 @@ type Session struct {
 	// canonical — only how many replicas are driven concurrently.
 	EvalWorkers int
 
-	// Fingerprint arms the phase-0 ambiguity fingerprint for this
-	// engagement (set from Liberate.Fingerprint).
-	Fingerprint bool
-	// AdoptFingerprint, when set alongside Fingerprint, supplies
-	// precomputed probe evidence for the phase to adopt instead of
-	// re-probing. Probing a named profile is deterministic, so adopting
-	// yields the identical result with the identical accounting — campaign
-	// runners use it to probe each distinct network once per run.
-	AdoptFingerprint *FingerprintResult
-
 	// Robust enables noise-robust phase logic: replays retry transient
 	// wipeouts, and every phase re-verifies "no enforcement" readings with
 	// one-sided voting (see RobustOracle). NewSession enables it

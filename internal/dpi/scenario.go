@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -75,7 +76,13 @@ func (sc *ScenarioSpec) Validate() error {
 		if ph.StartS < 0 {
 			return fmt.Errorf("dpi: scenario %q phase %d: negative start %vs", sc.Name, i, ph.StartS)
 		}
-		if i > 0 && ph.StartS <= sc.Phases[i-1].StartS {
+		if ph.StartS > maxStartS {
+			return fmt.Errorf("dpi: scenario %q phase %d: start %vs beyond virtual time (max %vs)", sc.Name, i, ph.StartS, maxStartS)
+		}
+		// Compare the instants Apply schedules, not the floats: two starts
+		// within a nanosecond would collapse into one instant, and a zero
+		// end reads as open-ended.
+		if i > 0 && phaseStart(ph.StartS) <= phaseStart(sc.Phases[i-1].StartS) {
 			return fmt.Errorf("dpi: scenario %q phase %d: start %vs not after previous %vs",
 				sc.Name, i, ph.StartS, sc.Phases[i-1].StartS)
 		}
@@ -95,6 +102,13 @@ func (sc *ScenarioSpec) Validate() error {
 	}
 	return nil
 }
+
+// maxStartS is the latest phase start, in seconds, a time.Duration can
+// hold (about 292 years); a later start would wrap negative.
+const maxStartS = float64(math.MaxInt64/int64(time.Second)) - 1
+
+// phaseStart converts a phase's start_s into its virtual-time offset.
+func phaseStart(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
 
 // Hash returns a short content digest of the scenario — stable across
 // processes, used to salt fingerprint-keyed caches so a scenario-armed
@@ -116,10 +130,10 @@ func (sc *ScenarioSpec) Apply(n *Network) error {
 	}
 	var els []netem.Element
 	for i, ph := range sc.Phases {
-		start := time.Duration(ph.StartS * float64(time.Second))
+		start := phaseStart(ph.StartS)
 		var end time.Duration // open-ended unless a later phase begins
 		if i+1 < len(sc.Phases) {
-			end = time.Duration(sc.Phases[i+1].StartS * float64(time.Second))
+			end = phaseStart(sc.Phases[i+1].StartS)
 		}
 		for _, group := range []struct {
 			dir   string

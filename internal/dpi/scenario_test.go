@@ -68,6 +68,14 @@ func TestParseScenarioPackRejections(t *testing.T) {
 			`{"schema": "scenario-pack/v1", "scenarios": [
 			  {"name": "a", "phases": [{"start_s": 0, "impair": [{"kind": "warp", "rate": 0.5}]}]}]}`,
 			"unknown impairment"},
+		{"start beyond virtual time",
+			`{"schema": "scenario-pack/v1", "scenarios": [
+			  {"name": "a", "phases": [{"start_s": 0}, {"start_s": 1e10}]}]}`,
+			"beyond virtual time"},
+		{"starts within a nanosecond",
+			`{"schema": "scenario-pack/v1", "scenarios": [
+			  {"name": "a", "phases": [{"start_s": 0}, {"start_s": 1e-10}]}]}`,
+			"not after"},
 		{"rate out of range",
 			`{"schema": "scenario-pack/v1", "scenarios": [
 			  {"name": "a", "phases": [{"start_s": 0, "egress": [{"kind": "loss", "rate": 1.5}]}]}]}`,

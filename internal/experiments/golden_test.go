@@ -21,6 +21,9 @@ const (
 	// goldenCampaign is the SHA-256 of the aggregated JSON of a
 	// 48-engagement campaign (6 networks x 2 traces x 2 hours x 2 seeds).
 	goldenCampaign = "0a4d97298b7beddf3dc15335bf2e1a71495bdfa414ff395258356b422d58ba80"
+	// goldenCampaignArmed is the same campaign with the ambiguity
+	// fingerprint armed on every engagement.
+	goldenCampaignArmed = "fb21bae078d3baea21a974ebfb1a6ea5c87a47a65db5950d007449c5aae42beb"
 )
 
 func sha256Hex(b []byte) string {
@@ -39,15 +42,24 @@ func TestGoldenTable3Deterministic(t *testing.T) {
 }
 
 func TestGoldenCampaignDeterministic(t *testing.T) {
+	checkGoldenCampaign(t, false, goldenCampaign)
+}
+
+func TestGoldenCampaignArmedDeterministic(t *testing.T) {
+	checkGoldenCampaign(t, true, goldenCampaignArmed)
+}
+
+func checkGoldenCampaign(t *testing.T, fingerprint bool, want string) {
 	if testing.Short() {
 		t.Skip("48-engagement campaign in -short mode")
 	}
 	spec := campaign.Spec{
-		Name:   "golden",
-		Traces: []string{"amazon", "youtube"},
-		Hours:  []int{0, 12},
-		Bodies: []int{8 << 10},
-		Seeds:  []int64{1, 2},
+		Name:        "golden",
+		Traces:      []string{"amazon", "youtube"},
+		Hours:       []int{0, 12},
+		Bodies:      []int{8 << 10},
+		Seeds:       []int64{1, 2},
+		Fingerprint: fingerprint,
 	}
 	sum, err := (&campaign.Runner{Spec: spec, Workers: 4}).Run(context.Background())
 	if err != nil {
@@ -63,8 +75,7 @@ func TestGoldenCampaignDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := sha256Hex(js)
-	if got != goldenCampaign {
-		t.Fatalf("campaign aggregate diverged from the golden pre-optimization output:\n got %s\nwant %s", got, goldenCampaign)
+	if got := sha256Hex(js); got != want {
+		t.Fatalf("campaign aggregate (fingerprint=%v) diverged from the golden output:\n got %s\nwant %s", fingerprint, got, want)
 	}
 }

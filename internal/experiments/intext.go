@@ -148,15 +148,12 @@ func RunPersistence() *PersistenceResult {
 	probeIdle := func(d time.Duration, withRST bool) bool {
 		net := dpi.NewTestbed()
 		s := core.NewSession(net)
-		id := "pause-after-match"
 		tech := pause
 		if withRST {
 			tech, _ = core.TechniqueByID("ttl-rst-after")
-			id = "ttl-rst-after"
 		}
-		_ = id
 		ap := tech.Build(core.BuildParams{MatchWrite: 0, PauseFor: d, InertTTL: 2, Seed: 3})
-		target := TwoPartForProbe(tr)
+		target := core.TwoPartTrace(tr)
 		res := s.Replay(target, ap.Transform, func(o *replay.Options) { o.ExtraBudget = d + time.Minute })
 		// Flushed iff the tail was not throttled.
 		return res.TailThroughputBps > 10e6
@@ -185,9 +182,6 @@ func RunPersistence() *PersistenceResult {
 	out.RSTFlushUpperBound = hi
 	return out
 }
-
-// TwoPartForProbe exposes the two-part trace builder for experiments.
-func TwoPartForProbe(tr *trace.Trace) *trace.Trace { return core.TwoPartTrace(tr) }
 
 // Render prints the persistence result.
 func (r *PersistenceResult) Render() string {

@@ -81,9 +81,6 @@ func (h *ClientHost) nextIPID() uint16 {
 	return h.ipid
 }
 
-// Forget removes a flow registration.
-func (h *ClientHost) Forget(key packet.FlowKey) { delete(h.flows, key) }
-
 // TCPClient is one client-side TCP connection. Outgoing application writes
 // pass through Transform, which is where lib·erate installs evasion
 // techniques.

@@ -91,15 +91,6 @@ func (s *Server) ListenStream(port uint16, h StreamHandler) { s.streamApps[port]
 // ListenDatagram registers a UDP application on port.
 func (s *Server) ListenDatagram(port uint16, h DatagramHandler) { s.datagramApps[port] = h }
 
-// ResetCapture clears the packet capture.
-func (s *Server) ResetCapture() { s.Captured = nil }
-
-// CloseAll tears down all connection state (between replays).
-func (s *Server) CloseAll() {
-	s.conns = make(map[packet.FlowKey]*ServerConn)
-	s.reasm.Flush()
-}
-
 // Deliver implements netem.Endpoint. Frame immutability lets the capture
 // retain the arriving bytes without a defensive copy, and the cached parse
 // is shared with every element that already inspected the packet in-path.

@@ -52,19 +52,9 @@ type (
 	BuildParams = core.BuildParams
 )
 
-// Phase pipeline (DESIGN.md §16): the engagement chain as first-class
-// composable stages instead of a hard-wired call sequence.
+// Ambiguity fingerprint (DESIGN.md §16): the opt-in phase 0 that
+// identifies the path's DPI profile and prunes the evaluation suite.
 type (
-	// Phase is one pipeline stage: name, dependencies, gating, run.
-	Phase = core.Phase
-	// PhaseResult is the serializable outcome a phase records.
-	PhaseResult = core.PhaseResult
-	// PhaseContext carries the session, trace, and accumulated results.
-	PhaseContext = core.PhaseContext
-	// Pipeline is an ordered, dependency-checked phase sequence.
-	Pipeline = core.Pipeline
-	// Deployment is the deploy phase's recorded result.
-	Deployment = core.Deployment
 	// FingerprintResult is the phase-0 ambiguity-fingerprint outcome:
 	// identified profile, probe evidence, and the pruned technique list.
 	FingerprintResult = core.FingerprintResult
@@ -72,21 +62,7 @@ type (
 	AmbiguityObservation = dpi.Observation
 )
 
-// Built-in phase names, in canonical pipeline order.
-const (
-	PhaseFingerprint  = core.PhaseFingerprint
-	PhaseDetect       = core.PhaseDetect
-	PhaseCharacterize = core.PhaseCharacterize
-	PhaseEvaluate     = core.PhaseEvaluate
-	PhaseDeploy       = core.PhaseDeploy
-)
-
 var (
-	// NewPipeline validates and assembles a custom phase sequence.
-	NewPipeline = core.NewPipeline
-	// DefaultPipeline is the standard engagement pipeline: fingerprint
-	// (opt-in) → detect → characterize → evaluate → deploy.
-	DefaultPipeline = core.DefaultPipeline
 	// FingerprintNetwork runs only the ambiguity probes against a network
 	// and identifies its DPI profile — no detection or evaluation.
 	FingerprintNetwork = core.FingerprintNetwork
@@ -180,7 +156,8 @@ func Taxonomy() []Technique { return core.Taxonomy() }
 func TechniqueByID(id string) (Technique, bool) { return core.TechniqueByID(id) }
 
 // NewSession starts a manual engagement (replay accounting, port
-// management) for callers that drive phases individually.
+// management) for callers that run their own replays (Session.Replay),
+// e.g. to verify a deployed transform.
 func NewSession(net *Network) *Session { return core.NewSession(net) }
 
 // HopInfo is one discovered router on the path.
