@@ -28,7 +28,7 @@ func storeSpec() Spec {
 }
 
 // runReport produces one real engagement report for codec tests.
-func runReport(t *testing.T) *core.Report {
+func runReport(t testing.TB) *core.Report {
 	t.Helper()
 	net, err := registry.NewNetwork("testbed")
 	if err != nil {

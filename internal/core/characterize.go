@@ -118,13 +118,9 @@ func Characterize(s *Session, tr *trace.Trace, det *Detection) *Characterization
 	// authoritative; "no match" may be fault noise, so robust sessions
 	// re-verify it before pinning the server port.
 	if !s.RotatePorts {
-		altClassified := func() bool {
+		matched := s.confirm(func() bool {
 			return det.Classified(s.Replay(probe, nil, func(o *replay.Options) { o.ServerPort = 8080 }))
-		}
-		matched := altClassified()
-		for i := 1; s.Robust && !matched && i < s.oracle().maxTrials(); i++ {
-			matched = altClassified()
-		}
+		}).Positive
 		if !matched {
 			c.PortSpecific = true
 			s.ForceServerPort = probe.ServerPort
@@ -282,14 +278,8 @@ func locate(s *Session, probe *trace.Trace, det *Detection, c *Characterization)
 			// authoritative. Its absence at the true boundary TTL may be a
 			// fault, so robust sessions re-verify before moving on (an
 			// overshot TTL would leak inert packets past the middlebox).
-			observe := func() bool { return det.Classified(s.Replay(inv, tf)) }
-			if observe() {
+			if s.confirm(func() bool { return det.Classified(s.Replay(inv, tf)) }).Positive {
 				return t
-			}
-			for i := 1; s.Robust && i < s.oracle().maxTrials(); i++ {
-				if observe() {
-					return t
-				}
 			}
 		}
 		return 0
@@ -301,15 +291,11 @@ func locate(s *Session, probe *trace.Trace, det *Detection, c *Characterization)
 	tech, _ := TechniqueByID("ip-ttl-limited")
 	for t := 1; t <= maxTTL; t++ {
 		ap := tech.Build(BuildParams{Fields: c.Fields, MatchWrite: c.MatchWrite, InertTTL: t, Seed: 99})
-		failed := func() bool {
+		failed := s.confirm(func() bool {
 			res := s.Replay(probe, ap.Transform)
 			return det.Classified(res) || !res.IntegrityOK
-		}
-		works := !failed()
-		for i := 1; s.Robust && works && i < s.oracle().maxTrials(); i++ {
-			works = !failed()
-		}
-		if works {
+		}).Positive
+		if !failed {
 			return t
 		}
 	}

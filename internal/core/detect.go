@@ -176,7 +176,7 @@ func detectClean(s *Session, tr *trace.Trace) *Detection {
 		}
 
 		if d.Differentiated {
-			d.buildOracles(probe)
+			d.buildOracles()
 			return d
 		}
 		// No signal at this size: escalate — throttling and zero-rating
@@ -212,7 +212,6 @@ func detectRobust(s *Session, tr *trace.Trace) *Detection {
 		d.Rounds = s.Rounds - startRounds
 		d.BytesUsed = s.BytesUsed - startBytes
 	}()
-	ro := s.oracle()
 	blockingOracle := func() {
 		d.Differentiated = true
 		d.Kinds = append(d.Kinds, DiffBlocking)
@@ -252,10 +251,10 @@ func detectRobust(s *Session, tr *trace.Trace) *Detection {
 		// blacklist armed by earlier classified flows) may be poisoning
 		// the controls. Rotate to fresh ports and re-verify; the composite
 		// observation (original blocked, fresh control clean) is itself
-		// one-sided, so Confirm applies.
+		// one-sided, so confirm applies.
 		if anyOrigB && anyInvB && !s.RotatePorts {
 			s.RotatePorts = true
-			out := ro.Confirm(func() bool {
+			out := s.confirm(func() bool {
 				o := s.Replay(probe, nil)
 				i := s.Replay(s.inverted(probe), nil)
 				d.Trials++
@@ -319,7 +318,7 @@ func detectRobust(s *Session, tr *trace.Trace) *Detection {
 		}
 
 		if d.Differentiated {
-			d.buildOracles(probe)
+			d.buildOracles()
 			d.Confidence = absenceConfidence(n)
 			return d
 		}
@@ -337,8 +336,7 @@ func detectRobust(s *Session, tr *trace.Trace) *Detection {
 
 // buildOracles derives the per-replay classification predicates from the
 // detected mechanisms.
-func (d *Detection) buildOracles(probe *trace.Trace) {
-	expected := int64(probe.TotalBytes())
+func (d *Detection) buildOracles() {
 	mid := math.Sqrt(d.ClassifiedAvgBps * d.UnclassifiedAvgBps)
 	throttled := d.Has(DiffThrottling)
 	zeroRated := d.Has(DiffZeroRating)
@@ -351,7 +349,6 @@ func (d *Detection) buildOracles(probe *trace.Trace) {
 		}
 		if zeroRated && r.CounterDelta >= 0 {
 			moved := int64(float64(r.BytesIn+r.BytesOut) * 0.5)
-			_ = expected
 			if r.CounterDelta < moved {
 				return true
 			}

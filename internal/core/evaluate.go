@@ -397,30 +397,21 @@ func evaluateTechniqueOnce(s *Session, probe *trace.Trace, det *Detection, char 
 		if judgeTail {
 			judge = det.TailClassified
 		}
-		res := s.Replay(rtr, ap.Transform, func(o *replay.Options) { o.ExtraBudget = extra })
-		v.Rounds++
-		classified := judge(res)
+		// One-sided re-verification: a classification observation is
+		// authoritative (faults suppress enforcement, never fabricate it),
+		// so on a robust session an apparent evasion must survive repeated
+		// trials before it is believed.
+		var res *replay.Result
+		out := s.confirm(func() bool {
+			res = s.Replay(rtr, ap.Transform, func(o *replay.Options) { o.ExtraBudget = extra })
+			v.Rounds++
+			return judge(res)
+		})
 		if s.Robust {
-			// One-sided re-verification: a classification observation is
-			// authoritative (faults suppress enforcement, never fabricate
-			// it), so an apparent evasion must survive repeated trials
-			// before it is believed.
-			trials := 1
-			for !classified && trials < s.oracle().maxTrials() {
-				res = s.Replay(rtr, ap.Transform, func(o *replay.Options) { o.ExtraBudget = extra })
-				v.Rounds++
-				trials++
-				classified = judge(res)
-			}
-			v.Trials = trials
-			if classified {
-				v.Confidence = 1
-			} else {
-				v.Confidence = absenceConfidence(trials)
-			}
+			v.Trials, v.Confidence = out.Trials, out.Confidence
 		}
 
-		evades := !classified
+		evades := !out.Positive
 		v.ReachedServer = judgeReach(t, ap, res)
 		if evades {
 			v.Evades = true

@@ -6,27 +6,16 @@ import (
 	"repro/internal/trace"
 )
 
-// defaultMaxTrials bounds repeated observations per robust question. Five
+// maxTrials bounds repeated observations per robust question. Five
 // one-sided trials push the residual flip probability to p^5 (≈ 10^-5 at a
 // 10% per-trial fault rate) while keeping the round cost of a noisy
 // engagement within ~5x of a clean one.
-const defaultMaxTrials = 5
+const maxTrials = 5
 
-// RobustOracle turns a single noisy observation into a voted answer. It
-// encodes the simulator's one-sided fault model: middlebox faults (missed
-// flows, dropped teardown RSTs, flow-table evictions, outages) and path
-// impairments can *suppress* an enforcement signal but never fabricate
-// one. An observation in the authoritative direction is therefore final,
-// while its absence may be noise and must be re-verified.
-type RobustOracle struct {
-	// MaxTrials bounds observations per question (default 5).
-	MaxTrials int
-}
-
-// Outcome is the result of a voted observation sequence.
+// Outcome is the result of a confirmed observation sequence.
 type Outcome struct {
 	// Positive reports whether the authoritative-direction observation
-	// occurred (Confirm) or won the majority (Vote).
+	// occurred.
 	Positive bool
 	// Trials is how many observations were actually taken.
 	Trials int
@@ -35,46 +24,24 @@ type Outcome struct {
 	Confidence float64
 }
 
-func (ro RobustOracle) maxTrials() int {
-	if ro.MaxTrials > 0 {
-		return ro.MaxTrials
+// confirm is the session's one re-verification primitive. It encodes the
+// simulator's one-sided fault model: middlebox faults (missed flows,
+// dropped teardown RSTs, flow-table evictions, outages) and path
+// impairments can *suppress* an enforcement signal but never fabricate
+// one. So a true observation is final, while a false one may be noise: a
+// robust session repeats observe until it reports true or maxTrials
+// consecutive negatives accumulate. A clean session observes exactly once.
+func (s *Session) confirm(observe func() bool) Outcome {
+	n := 1
+	if s.Robust {
+		n = maxTrials
 	}
-	return defaultMaxTrials
-}
-
-// Confirm repeats observe until it reports true — authoritative under the
-// one-sided fault model, so the first positive terminates the sequence —
-// or MaxTrials consecutive negatives accumulate.
-func (ro RobustOracle) Confirm(observe func() bool) Outcome {
-	n := ro.maxTrials()
 	for i := 1; i <= n; i++ {
 		if observe() {
 			return Outcome{Positive: true, Trials: i, Confidence: 1}
 		}
 	}
 	return Outcome{Positive: false, Trials: n, Confidence: absenceConfidence(n)}
-}
-
-// Vote takes up to MaxTrials observations and returns the majority,
-// terminating early once the remaining observations cannot change the
-// outcome. For signals with symmetric noise (throughput comparisons)
-// where no single direction is authoritative.
-func (ro RobustOracle) Vote(observe func() bool) Outcome {
-	n := ro.maxTrials()
-	pos, neg := 0, 0
-	for i := 0; i < n && pos <= n/2 && neg <= n/2; i++ {
-		if observe() {
-			pos++
-		} else {
-			neg++
-		}
-	}
-	t := pos + neg
-	maj := pos
-	if neg > pos {
-		maj = neg
-	}
-	return Outcome{Positive: pos > neg, Trials: t, Confidence: float64(maj) / float64(t)}
 }
 
 // absenceConfidence is the confidence that n consecutive clean trials
@@ -86,20 +53,16 @@ func absenceConfidence(trials int) float64 {
 	return 1 - math.Pow(2, -float64(trials))
 }
 
-// oracle returns the session's voting policy.
-func (s *Session) oracle() RobustOracle { return RobustOracle{MaxTrials: s.MaxTrials} }
-
-// robustify wraps a trace-classification oracle with one-sided
-// re-verification when the session is in robust mode: a "classified"
-// reading is returned immediately, a "not classified" reading is repeated
-// before it is believed. On clean sessions the oracle is returned
-// unchanged, so the replay sequence stays byte-identical.
+// robustify wraps a trace-classification oracle with confirm when the
+// session is in robust mode: a "classified" reading is returned
+// immediately, a "not classified" reading is repeated before it is
+// believed. On clean sessions the oracle is returned unchanged, so the
+// replay sequence stays byte-identical.
 func (s *Session) robustify(oracle func(*trace.Trace) bool) func(*trace.Trace) bool {
 	if !s.Robust {
 		return oracle
 	}
-	ro := s.oracle()
 	return func(t *trace.Trace) bool {
-		return ro.Confirm(func() bool { return oracle(t) }).Positive
+		return s.confirm(func() bool { return oracle(t) }).Positive
 	}
 }

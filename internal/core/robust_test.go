@@ -9,18 +9,18 @@ import (
 	"repro/internal/trace"
 )
 
-func TestRobustOracleConfirm(t *testing.T) {
-	ro := RobustOracle{}
+func TestSessionConfirm(t *testing.T) {
+	s := &Session{Robust: true}
 	calls := 0
-	out := ro.Confirm(func() bool { calls++; return true })
+	out := s.confirm(func() bool { calls++; return true })
 	if !out.Positive || out.Trials != 1 || out.Confidence != 1 || calls != 1 {
 		t.Fatalf("authoritative positive must terminate immediately: %+v calls=%d", out, calls)
 	}
 
 	calls = 0
-	out = ro.Confirm(func() bool { calls++; return false })
-	if out.Positive || out.Trials != defaultMaxTrials || calls != defaultMaxTrials {
-		t.Fatalf("all-negative must take MaxTrials observations: %+v calls=%d", out, calls)
+	out = s.confirm(func() bool { calls++; return false })
+	if out.Positive || out.Trials != maxTrials || calls != maxTrials {
+		t.Fatalf("all-negative must take maxTrials observations: %+v calls=%d", out, calls)
 	}
 	if out.Confidence < 0.96 || out.Confidence >= 1 {
 		t.Fatalf("absence confidence after 5 trials = %v, want 1-2^-5", out.Confidence)
@@ -28,29 +28,17 @@ func TestRobustOracleConfirm(t *testing.T) {
 
 	// A late positive still wins: faults suppress signals, never invent them.
 	calls = 0
-	out = ro.Confirm(func() bool { calls++; return calls == 3 })
+	out = s.confirm(func() bool { calls++; return calls == 3 })
 	if !out.Positive || out.Trials != 3 || out.Confidence != 1 {
 		t.Fatalf("late positive: %+v", out)
 	}
-}
 
-func TestRobustOracleVote(t *testing.T) {
-	ro := RobustOracle{MaxTrials: 5}
-	calls := 0
-	out := ro.Vote(func() bool { calls++; return true })
-	if !out.Positive || out.Trials != 3 || calls != 3 {
-		t.Fatalf("unanimous vote should stop at majority: %+v calls=%d", out, calls)
-	}
-	if out.Confidence != 1 {
-		t.Fatalf("unanimous confidence = %v", out.Confidence)
-	}
+	// A clean session believes its first negative.
+	clean := &Session{}
 	calls = 0
-	out = ro.Vote(func() bool { calls++; return calls%2 == 1 }) // T F T F T
-	if !out.Positive || out.Trials != 5 {
-		t.Fatalf("split vote: %+v", out)
-	}
-	if out.Confidence <= 0.5 || out.Confidence >= 0.7 {
-		t.Fatalf("3-of-5 confidence = %v, want 0.6", out.Confidence)
+	out = clean.confirm(func() bool { calls++; return false })
+	if out.Positive || out.Trials != 1 || calls != 1 {
+		t.Fatalf("clean session must observe exactly once: %+v calls=%d", out, calls)
 	}
 }
 

@@ -34,14 +34,11 @@ type Session struct {
 
 	// Robust enables noise-robust phase logic: replays retry transient
 	// wipeouts, and every phase re-verifies "no enforcement" readings with
-	// one-sided voting (see RobustOracle). NewSession enables it
+	// one-sided voting (see Session.confirm). NewSession enables it
 	// automatically when the network carries fault knobs or impairment
 	// links; on clean networks it stays false and every phase runs the
 	// byte-identical single-observation path.
 	Robust bool
-	// MaxTrials bounds per-question repeated observations in robust mode
-	// (0 = default 5).
-	MaxTrials int
 
 	nextClientPort uint16
 	nextServerPort uint16
@@ -179,7 +176,6 @@ func (s *Session) forkFor(i int) *Session {
 		RotatePorts:     s.RotatePorts,
 		ForceServerPort: s.ForceServerPort,
 		Robust:          s.Robust,
-		MaxTrials:       s.MaxTrials,
 		nextClientPort:  wrapPort(uint32(s.nextClientPort)+offset, clientPortBase),
 		nextServerPort:  wrapPort(uint32(s.nextServerPort)+offset, serverPortBase),
 		started:         net.Clock.Now(),

@@ -7,6 +7,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/netem/packet"
@@ -160,8 +161,25 @@ func fixUDP(pkt *packet.Packet) {
 	}
 }
 
+// taxonomy is the full Table 3 technique suite, in paper row order, built
+// once: every Build closure is a pure function of its BuildParams, so the
+// entries are safe to share.
+var taxonomy = buildTaxonomy()
+
+// techniqueIndex maps a technique ID to its position in taxonomy.
+var techniqueIndex = func() map[string]int {
+	idx := make(map[string]int, len(taxonomy))
+	for i, t := range taxonomy {
+		idx[t.ID] = i
+	}
+	return idx
+}()
+
 // Taxonomy returns the full Table 3 technique suite, in paper row order.
-func Taxonomy() []Technique {
+// The slice is a fresh copy, so callers may filter or reorder it.
+func Taxonomy() []Technique { return slices.Clone(taxonomy) }
+
+func buildTaxonomy() []Technique {
 	return []Technique{
 		{Row: 1, ID: "ip-ttl-limited", Proto: ProtoIP, Group: GroupInert, NeedsTTL: true,
 			Desc: "Lower TTL to only reach classifier",
@@ -365,10 +383,9 @@ func Taxonomy() []Technique {
 
 // TechniqueByID finds a taxonomy entry.
 func TechniqueByID(id string) (Technique, bool) {
-	for _, t := range Taxonomy() {
-		if t.ID == id {
-			return t, true
-		}
+	i, ok := techniqueIndex[id]
+	if !ok {
+		return Technique{}, false
 	}
-	return Technique{}, false
+	return taxonomy[i], true
 }

@@ -2,6 +2,7 @@ package dpi
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -277,6 +278,42 @@ type FaultsSpec struct {
 	FlowTableCap int     `json:"flow_table_cap,omitempty"`
 	OutageEveryS int     `json:"outage_every_s,omitempty"`
 	OutageForS   int     `json:"outage_for_s,omitempty"`
+}
+
+// validate rejects knobs the middlebox would misread: a rate outside
+// [0, 1] (NaN included), a negative count or duration, and a duration too
+// long for time.Duration, which would wrap.
+func (fs *FaultsSpec) validate() error {
+	for _, r := range []struct {
+		name string
+		v    float64
+	}{
+		{"miss_rate", fs.MissRate},
+		{"rst_drop_rate", fs.RSTDropRate},
+		{"rst_delay_rate", fs.RSTDelayRate},
+	} {
+		if !(r.v >= 0 && r.v <= 1) {
+			return fmt.Errorf("dpi: faults %s %v outside [0, 1]", r.name, r.v)
+		}
+	}
+	for _, n := range []struct {
+		name string
+		v    int
+		unit time.Duration // 1 for a plain count
+	}{
+		{"rst_delay_ms", fs.RSTDelayMs, time.Millisecond},
+		{"flow_table_cap", fs.FlowTableCap, 1},
+		{"outage_every_s", fs.OutageEveryS, time.Second},
+		{"outage_for_s", fs.OutageForS, time.Second},
+	} {
+		if n.v < 0 {
+			return fmt.Errorf("dpi: faults %s %d is negative", n.name, n.v)
+		}
+		if int64(n.v) > math.MaxInt64/int64(n.unit) {
+			return fmt.Errorf("dpi: faults %s %d overflows a duration", n.name, n.v)
+		}
+	}
+	return nil
 }
 
 func (fs *FaultsSpec) faults() Faults {

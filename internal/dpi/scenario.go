@@ -66,11 +66,16 @@ type ScenarioPhase struct {
 	Ingress []ImpairmentSpec `json:"ingress,omitempty"`
 }
 
-// Validate checks the scenario is buildable: phase starts strictly
-// increasing and every impairment spec constructible.
+// Validate checks the scenario is buildable: fault knobs in range, phase
+// starts strictly increasing and every impairment spec constructible.
 func (sc *ScenarioSpec) Validate() error {
 	if sc.Name == "" {
 		return fmt.Errorf("dpi: scenario needs a name")
+	}
+	if sc.Faults != nil {
+		if err := sc.Faults.validate(); err != nil {
+			return fmt.Errorf("dpi: scenario %q: %w", sc.Name, err)
+		}
 	}
 	for i, ph := range sc.Phases {
 		if ph.StartS < 0 {

@@ -80,6 +80,24 @@ func TestParseScenarioPackRejections(t *testing.T) {
 			`{"schema": "scenario-pack/v1", "scenarios": [
 			  {"name": "a", "phases": [{"start_s": 0, "egress": [{"kind": "loss", "rate": 1.5}]}]}]}`,
 			"outside [0,1)"},
+		{"fault rate above one",
+			`{"schema": "scenario-pack/v1", "scenarios": [{"name": "a", "faults": {"miss_rate": 5}}]}`,
+			"miss_rate 5 outside [0, 1]"},
+		{"negative fault rate",
+			`{"schema": "scenario-pack/v1", "scenarios": [{"name": "a", "faults": {"rst_delay_rate": -0.1}}]}`,
+			"rst_delay_rate -0.1 outside [0, 1]"},
+		{"negative flow-table cap",
+			`{"schema": "scenario-pack/v1", "scenarios": [{"name": "a", "faults": {"flow_table_cap": -1}}]}`,
+			"flow_table_cap -1 is negative"},
+		{"negative outage",
+			`{"schema": "scenario-pack/v1", "scenarios": [{"name": "a", "faults": {"outage_for_s": -3}}]}`,
+			"outage_for_s -3 is negative"},
+		{"outage period wraps a duration",
+			`{"schema": "scenario-pack/v1", "scenarios": [{"name": "a", "faults": {"outage_every_s": 9300000000}}]}`,
+			"outage_every_s 9300000000 overflows"},
+		{"rst delay wraps a duration",
+			`{"schema": "scenario-pack/v1", "scenarios": [{"name": "a", "faults": {"rst_delay_ms": 9300000000000}}]}`,
+			"rst_delay_ms 9300000000000 overflows"},
 	}
 	for _, c := range cases {
 		if _, err := ParseScenarioPack([]byte(c.doc)); err == nil || !strings.Contains(err.Error(), c.want) {

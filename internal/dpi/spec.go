@@ -241,6 +241,9 @@ func buildConfig(name string, cs *ClassifierSpec) (*Config, error) {
 		cfg.Load = &lm
 	}
 	if cs.Faults != nil {
+		if err := cs.Faults.validate(); err != nil {
+			return nil, err
+		}
 		cfg.Faults = cs.Faults.faults()
 	}
 	if len(cs.ValidatedDefects) == 1 && cs.ValidatedDefects[0] == "all" {

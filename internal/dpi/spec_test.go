@@ -81,6 +81,7 @@ func TestSpecErrors(t *testing.T) {
 		`{"name": "x", "classifier": {"validated_defects": ["nope"], "rules": [{"class":"c","keywords":["k"]}]}}`,
 		`{"name": "x", "classifier": {"rules": [{"class":"c","keywords_hex":["zz"]}]}}`,
 		`not json`,
+		`{"name": "x", "classifier": {"faults": {"rst_drop_rate": 1.5}, "rules": [{"class":"c","keywords":["k"]}]}}`,
 	}
 	for i, c := range cases {
 		if _, err := ParseNetworkSpec([]byte(c)); err == nil {

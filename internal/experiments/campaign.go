@@ -44,15 +44,8 @@ func RunCampaignScaling() *CampaignScaling {
 	var baseline []byte
 	for _, workers := range counts {
 		start := time.Now()
-		summary, err := (&campaign.Runner{Spec: spec, Workers: workers}).Run(context.Background())
-		if err != nil {
-			panic(err) // spec is static; failure is a programming error
-		}
+		summary, data := runSpec(spec, workers)
 		wall := time.Since(start)
-		data, err := summary.JSON()
-		if err != nil {
-			panic(err)
-		}
 		if baseline == nil {
 			baseline = data
 			out.Engagements = summary.Engagements
@@ -68,6 +61,22 @@ func RunCampaignScaling() *CampaignScaling {
 		out.Rows = append(out.Rows, row)
 	}
 	return out
+}
+
+// runSpec runs spec in-process at the given worker count and returns the
+// summary with its JSON bytes, which worker-count and rerun comparisons
+// check for byte-identity. It panics on error: every caller's spec is
+// static, so a failed run is a programming error.
+func runSpec(spec campaign.Spec, workers int) (*campaign.Summary, []byte) {
+	summary, err := (&campaign.Runner{Spec: spec, Workers: workers}).Run(context.Background())
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %q at %d workers: %v", spec.Name, workers, err))
+	}
+	data, err := summary.JSON()
+	if err != nil {
+		panic(err)
+	}
+	return summary, data
 }
 
 // Rows0PerSecRatio computes speedup against the first (workers=1) row.

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"context"
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -32,6 +30,8 @@ type FingerprintArm struct {
 	PerSec         float64       `json:"eng_per_s"`
 	TotalRounds    int           `json:"total_rounds"`
 	PrunedVerdicts int           `json:"pruned_verdicts"`
+
+	engagements int
 }
 
 // FingerprintBench is the fingerprint gate's result: every built-in profile's
@@ -82,20 +82,14 @@ func fingerprintSweepSpec(armed bool) campaign.Spec {
 
 func runFingerprintArm(name string, armed bool, workers int) (FingerprintArm, []byte) {
 	start := time.Now()
-	summary, err := (&campaign.Runner{Spec: fingerprintSweepSpec(armed), Workers: workers}).Run(context.Background())
-	if err != nil {
-		panic(err) // spec is static; failure is a programming error
-	}
+	summary, data := runSpec(fingerprintSweepSpec(armed), workers)
 	wall := time.Since(start)
-	data, err := summary.JSON()
-	if err != nil {
-		panic(err)
-	}
 	arm := FingerprintArm{
 		Name:        name,
 		Wall:        wall,
 		PerSec:      float64(summary.Engagements) / wall.Seconds(),
 		TotalRounds: summary.TotalRounds,
+		engagements: summary.Engagements,
 	}
 	for _, r := range summary.Rows {
 		arm.PrunedVerdicts += r.PrunedTechniques
@@ -152,16 +146,12 @@ func RunFingerprintBench() *FingerprintBench {
 			b.Pruned.Wall, b.Pruned.PerSec = pruned.Wall, pruned.PerSec
 		}
 	}
-	var fullSummary campaign.Summary
-	if err := json.Unmarshal(fullData, &fullSummary); err != nil {
-		panic(err)
-	}
-	b.Engagements = fullSummary.Engagements
+	b.Engagements = b.Full.engagements
 	b.Speedup = b.Full.Wall.Seconds() / b.Pruned.Wall.Seconds()
 	b.RoundsDelta = b.Pruned.TotalRounds - b.Full.TotalRounds
 
 	for _, workers := range []int{4, 16} {
-		_, again := runFingerprintArm("pruned", true, workers)
+		_, again := runSpec(fingerprintSweepSpec(true), workers)
 		if !bytes.Equal(prunedData, again) {
 			b.Deterministic = false
 		}

@@ -1,12 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/dpi"
 )
 
 // Golden hashes captured from the pre-fast-path pipeline (PR 2 baseline).
@@ -24,6 +24,9 @@ const (
 	// goldenCampaignArmed is the same campaign with the ambiguity
 	// fingerprint armed on every engagement.
 	goldenCampaignArmed = "fb21bae078d3baea21a974ebfb1a6ea5c87a47a65db5950d007449c5aae42beb"
+	// goldenCampaignNoisy pins robust mode: nine engagements on faulted
+	// middleboxes that reach every one-sided re-verification site.
+	goldenCampaignNoisy = "52eecd5fd60f7e86d8fb86dc5e4075292ad23200e5357192ae7f4aaa0f9ac59e"
 )
 
 func sha256Hex(b []byte) string {
@@ -42,18 +45,38 @@ func TestGoldenTable3Deterministic(t *testing.T) {
 }
 
 func TestGoldenCampaignDeterministic(t *testing.T) {
-	checkGoldenCampaign(t, false, goldenCampaign)
+	checkGoldenCampaign(t, goldenSweep(false), 48, goldenCampaign)
 }
 
 func TestGoldenCampaignArmedDeterministic(t *testing.T) {
-	checkGoldenCampaign(t, true, goldenCampaignArmed)
+	checkGoldenCampaign(t, goldenSweep(true), 48, goldenCampaignArmed)
 }
 
-func checkGoldenCampaign(t *testing.T, fingerprint bool, want string) {
-	if testing.Short() {
-		t.Skip("48-engagement campaign in -short mode")
-	}
+// TestGoldenCampaignNoisyDeterministic pins robust mode, which no clean
+// golden reaches. On these cells iran+facebook re-verifies port
+// specificity, gfc walks the blocking TTL and re-confirms residual
+// blocking, testbed sweeps the shaper TTL, and all three networks re-trial
+// evaluation and the robust characterization oracle.
+func TestGoldenCampaignNoisyDeterministic(t *testing.T) {
 	spec := campaign.Spec{
+		Name:     "golden-noisy",
+		Networks: []string{"testbed", "gfc", "iran"},
+		Traces:   []string{"amazon", "economist", "facebook"},
+		Hours:    []int{0},
+		Bodies:   []int{8 << 10},
+		Seeds:    []int64{1},
+		Scenarios: []dpi.ScenarioSpec{{
+			Name:   "faulty",
+			Faults: &dpi.FaultsSpec{MissRate: 0.1, RSTDropRate: 0.2},
+		}},
+	}
+	checkGoldenCampaign(t, spec, 9, goldenCampaignNoisy)
+}
+
+// goldenSweep is the 48-engagement golden campaign (6 networks x 2 traces
+// x 2 hours x 2 seeds), optionally with the fingerprint armed.
+func goldenSweep(fingerprint bool) campaign.Spec {
+	return campaign.Spec{
 		Name:        "golden",
 		Traces:      []string{"amazon", "youtube"},
 		Hours:       []int{0, 12},
@@ -61,21 +84,21 @@ func checkGoldenCampaign(t *testing.T, fingerprint bool, want string) {
 		Seeds:       []int64{1, 2},
 		Fingerprint: fingerprint,
 	}
-	sum, err := (&campaign.Runner{Spec: spec, Workers: 4}).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
+}
+
+func checkGoldenCampaign(t *testing.T, spec campaign.Spec, engagements int, want string) {
+	if testing.Short() {
+		t.Skip("golden campaign in -short mode")
 	}
-	if sum.Engagements != 48 {
-		t.Fatalf("expected 48 engagements, got %d", sum.Engagements)
+	sum, js := runSpec(spec, 4)
+	if sum.Engagements != engagements {
+		t.Fatalf("expected %d engagements, got %d", engagements, sum.Engagements)
 	}
 	if sum.Failed != 0 {
 		t.Fatalf("%d engagements failed", sum.Failed)
 	}
-	js, err := sum.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
 	if got := sha256Hex(js); got != want {
-		t.Fatalf("campaign aggregate (fingerprint=%v) diverged from the golden output:\n got %s\nwant %s", fingerprint, got, want)
+		t.Fatalf("campaign %q (fingerprint=%v) aggregate diverged from the golden output:\n got %s\nwant %s",
+			spec.Name, spec.Fingerprint, got, want)
 	}
 }

@@ -180,21 +180,9 @@ func RunScenarios(quick bool) *ScenariosReport {
 	rep := &ScenariosReport{Quick: quick}
 	spec := scenarioGateSpec(quick)
 
-	run := func(s campaign.Spec) (*campaign.Summary, []byte) {
-		sum, err := (&campaign.Runner{Spec: s, Workers: 4}).Run(context.Background())
-		if err != nil {
-			panic(fmt.Sprintf("scenario gate: single-process run: %v", err))
-		}
-		data, err := sum.JSON()
-		if err != nil {
-			panic(fmt.Sprintf("scenario gate: marshal summary: %v", err))
-		}
-		return sum, data
-	}
-
 	// Front 1: the scenario sweep is deterministic and honest.
-	sum, ref := run(spec)
-	_, rerun := run(spec)
+	sum, ref := runSpec(spec, 4)
+	_, rerun := runSpec(spec, 4)
 	det := &rep.Determinism
 	for _, sc := range spec.Scenarios {
 		det.Scenarios = append(det.Scenarios, sc.Name)
@@ -204,7 +192,7 @@ func RunScenarios(quick bool) *ScenariosReport {
 
 	base := spec
 	base.Scenarios = nil
-	baseSum, _ := run(base)
+	baseSum, _ := runSpec(base, 4)
 
 	scRows := make(map[string]campaign.Row, len(sum.Rows))
 	for _, r := range sum.Rows {

@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"testing"
 
-	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/dpi"
 	"repro/internal/trace"
@@ -63,20 +61,9 @@ func TestScenarioEngagementWorkerCountInvariance(t *testing.T) {
 // sweep's summary is byte-identical at any campaign pool width.
 func TestScenarioCampaignWorkerInvariance(t *testing.T) {
 	spec := scenarioGateSpec(true)
-	run := func(workers int) []byte {
-		sum, err := (&campaign.Runner{Spec: spec, Workers: workers}).Run(context.Background())
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		data, err := sum.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	want := run(1)
+	_, want := runSpec(spec, 1)
 	for _, workers := range []int{4, 16} {
-		if got := run(workers); !bytes.Equal(got, want) {
+		if _, got := runSpec(spec, workers); !bytes.Equal(got, want) {
 			t.Errorf("workers=%d: scenario-armed summary differs from workers=1", workers)
 		}
 	}

@@ -53,7 +53,6 @@ const horizonTicks = int64(1) << (levelBits * levels)
 // selected by kind, so the slab itself stays pointer-free.
 const (
 	kindClosure uint8 = iota // fn indexes Clock.closures
-	kindPair                 // fn indexes Clock.pairs
 	kindIdx                  // fn indexes Clock.regFns; arg is passed through
 )
 
@@ -92,13 +91,6 @@ type nearEnt struct {
 	at  int64
 	seq uint64
 	h   uint32
-}
-
-// argPair backs ScheduleArg: a long-lived function value plus its argument,
-// parked in a registry slot so the event record itself stays pointer-free.
-type argPair struct {
-	fn  func(any)
-	arg any
 }
 
 // wheel is the bucket hierarchy. occ bitmaps mirror bucket occupancy so
@@ -199,13 +191,11 @@ type Clock struct {
 	wh wheel
 
 	// Callback registries. regFns holds long-lived functions installed
-	// once per clock (RegisterFn); closures/pairs are per-event slots
-	// recycled through free lists.
+	// once per clock (RegisterFn); closures are per-event slots recycled
+	// through a free list.
 	regFns   []func(uint32)
 	closures []func()
 	closFree []uint32
-	pairs    []argPair
-	pairFree []uint32
 
 	// rec receives scheduler counters when tracing is armed; traced
 	// caches rec.Enabled() so the disabled path costs one bool test.
@@ -323,17 +313,6 @@ func (c *Clock) Schedule(d time.Duration, fn func()) Timer {
 	return c.scheduleNS(c.now+int64(d), kindClosure, c.newClosure(fn), 0)
 }
 
-// ScheduleArg runs fn(arg) after d of virtual time has elapsed. It behaves
-// like Schedule but keeps the callback and its state separate, so a caller
-// on the per-packet hot path can pass a long-lived function value and a
-// recycled argument record instead of allocating a closure per event.
-func (c *Clock) ScheduleArg(d time.Duration, fn func(any), arg any) Timer {
-	if d < 0 {
-		d = 0
-	}
-	return c.scheduleNS(c.now+int64(d), kindPair, c.newPair(fn, arg), 0)
-}
-
 // ScheduleAt runs fn at the absolute virtual instant at. Instants in the
 // past are clamped to the present.
 func (c *Clock) ScheduleAt(at time.Time, fn func()) Timer {
@@ -351,27 +330,12 @@ func (c *Clock) newClosure(fn func()) uint32 {
 	return uint32(len(c.closures) - 1)
 }
 
-func (c *Clock) newPair(fn func(any), arg any) uint32 {
-	if n := len(c.pairFree); n > 0 {
-		s := c.pairFree[n-1]
-		c.pairFree = c.pairFree[:n-1]
-		c.pairs[s] = argPair{fn: fn, arg: arg}
-		return s
-	}
-	c.pairs = append(c.pairs, argPair{fn: fn, arg: arg})
-	return uint32(len(c.pairs) - 1)
-}
-
-// freeSlot releases a closure or pair registry slot (kindIdx callbacks are
+// freeSlot releases a closure registry slot (kindIdx callbacks are
 // permanent and own no per-event slot).
 func (c *Clock) freeSlot(kind uint8, slot uint32) {
-	switch kind {
-	case kindClosure:
+	if kind == kindClosure {
 		c.closures[slot] = nil
 		c.closFree = append(c.closFree, slot)
-	case kindPair:
-		c.pairs[slot] = argPair{}
-		c.pairFree = append(c.pairFree, slot)
 	}
 }
 
@@ -933,11 +897,6 @@ func (c *Clock) step(limit int64) (bool, error) {
 	switch kind {
 	case kindIdx:
 		c.regFns[fnSlot](arg)
-	case kindPair:
-		p := c.pairs[fnSlot]
-		c.pairs[fnSlot] = argPair{}
-		c.pairFree = append(c.pairFree, fnSlot)
-		p.fn(p.arg)
 	default:
 		fn := c.closures[fnSlot]
 		c.closures[fnSlot] = nil

@@ -42,7 +42,9 @@ type sched interface {
 }
 
 // wheelSched adapts *Clock. kindSel picks the public scheduling API so the
-// closure, pair, and registered-index paths all get differential coverage.
+// closure and registered-index paths both get differential coverage; it
+// stays modulo 3 (two residues pick Schedule) so fuzz scripts keep their
+// op mix.
 // linkViaIdx routes scheduleLink through ScheduleIdx instead of the lane,
 // for the lane-parity test; rec, when set, collects the scheduler counters
 // of the clock and its forks.
@@ -73,10 +75,8 @@ func (w *wheelSched) bind() {
 func (w *wheelSched) schedule(delayNS int64, kindSel int, fn func()) func() bool {
 	var t Timer
 	switch kindSel % 3 {
-	case 0:
+	case 0, 1:
 		t = w.c.Schedule(time.Duration(delayNS), fn)
-	case 1:
-		t = w.c.ScheduleArg(time.Duration(delayNS), func(a any) { a.(func())() }, fn)
 	default:
 		t = w.c.ScheduleIdx(time.Duration(delayNS), w.reg, w.slot(fn))
 	}
