@@ -254,13 +254,16 @@ func (m *Middlebox) Process(ctx netem.Context, dir netem.Direction, f *packet.Fr
 		return
 	}
 
-	m.inspectPacket(ctx, dir, p, defects, f.Raw())
+	m.inspectPacket(ctx, dir, p, defects, f)
 	m.forward(ctx, dir, p, f)
 }
 
 // ---- inspection ----------------------------------------------------------
 
-func (m *Middlebox) inspectPacket(ctx netem.Context, dir netem.Direction, p *packet.Packet, defects packet.DefectSet, raw []byte) {
+// inspectPacket takes the frame rather than its bytes: only fragment
+// reassembly reads the wire bytes, so every other packet skips the copy
+// that materializing pending TTL decrements would cost.
+func (m *Middlebox) inspectPacket(ctx netem.Context, dir netem.Direction, p *packet.Packet, defects packet.DefectSet, fr *packet.Frame) {
 	if m.inOutage(ctx) {
 		m.FaultStats.OutageSkips++
 		if ctx.Traced() {
@@ -281,7 +284,7 @@ func (m *Middlebox) inspectPacket(ctx netem.Context, dir netem.Direction, p *pac
 	// Fragments.
 	if p.IP.FragOffset != 0 || p.IP.MoreFragments() {
 		if m.Cfg.ReassembleFragments {
-			whole, done := m.reasm.Add(raw)
+			whole, done := m.reasm.Add(fr.Raw())
 			if !done {
 				return
 			}
@@ -289,7 +292,7 @@ func (m *Middlebox) inspectPacket(ctx netem.Context, dir netem.Direction, p *pac
 			if q.IP.FragOffset != 0 || q.IP.MoreFragments() {
 				return // reassembly could not produce a whole datagram
 			}
-			m.inspectPacket(ctx, dir, q, qd, whole)
+			m.inspectPacket(ctx, dir, q, qd, packet.NewFrame(whole))
 			return
 		}
 		if p.IP.FragOffset != 0 {

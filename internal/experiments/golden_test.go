@@ -44,6 +44,9 @@ func TestGoldenTable3Deterministic(t *testing.T) {
 	}
 }
 
+// TestGoldenCampaignDeterministic runs at four campaign workers with the
+// default EvalWorkers, so it also drives the process-wide derived-trace
+// memo from several goroutines at once; CI repeats it under -race.
 func TestGoldenCampaignDeterministic(t *testing.T) {
 	checkGoldenCampaign(t, goldenSweep(false), 48, goldenCampaign)
 }

@@ -22,8 +22,9 @@ import "sync"
 //     envs get their own fresh arena; pooled state never crosses forks.
 //
 // Reuse is index-based: Reset rewinds the slab cursors and clears the
-// pointer-bearing slabs so stale references do not pin dead buffers, but
-// the slabs themselves are retained at capacity.
+// used prefix of the pointer-bearing slabs, so stale references do not
+// pin dead buffers, but the slabs themselves are retained at capacity.
+// Everything past the cursors is therefore always zero.
 type Arena struct {
 	frames [][]Frame
 	fi, fn int // slab index, used count within it
@@ -100,12 +101,8 @@ func (a *Arena) Release() {
 // Reset and rewinds all slabs for reuse. See the type comment for when
 // calling it is legal.
 func (a *Arena) Reset() {
-	for i := 0; i <= a.fi && i < len(a.frames); i++ {
-		clear(a.frames[i])
-	}
-	for i := 0; i <= a.pi && i < len(a.parses); i++ {
-		clear(a.parses[i])
-	}
+	clearUsed(a.frames, a.fi, a.fn)
+	clearUsed(a.parses, a.pi, a.pn)
 	a.fi, a.fn = 0, 0
 	a.pi, a.pn = 0, 0
 	a.bi, a.bn = 0, 0
@@ -114,7 +111,19 @@ func (a *Arena) Reset() {
 	}
 }
 
-// frame hands out one uninitialized Frame slot.
+// clearUsed zeroes the slots handed out since the last Reset: every slab
+// before the cursor slab i, and the first n slots of slab i. Slots past
+// the cursor were zeroed by an earlier Reset and never handed out since.
+func clearUsed[T any](slabs [][]T, i, n int) {
+	for _, s := range slabs[:min(i, len(slabs))] {
+		clear(s)
+	}
+	if i < len(slabs) {
+		clear(slabs[i][:n])
+	}
+}
+
+// frame hands out one Frame slot, zeroed by the last Reset.
 func (a *Arena) frame() *Frame {
 	if a.fi == len(a.frames) {
 		a.frames = append(a.frames, make([]Frame, arenaFrameChunk))
@@ -129,7 +138,8 @@ func (a *Arena) frame() *Frame {
 	return f
 }
 
-// parse hands out one zeroed parse block (packet plus transport headers).
+// parse hands out one parse block (packet plus transport headers), zeroed
+// by the last Reset: inspect and the builders fill fields piecemeal.
 func (a *Arena) parse() *parseAlloc {
 	if a.pi == len(a.parses) {
 		a.parses = append(a.parses, make([]parseAlloc, arenaParseChunk))
@@ -140,9 +150,6 @@ func (a *Arena) parse() *parseAlloc {
 		a.pi++
 		a.pn = 0
 	}
-	// Zero the slot: inspect and the builders fill fields piecemeal, and a
-	// recycled slot must not leak state from its previous occupant.
-	*pa = parseAlloc{}
 	return pa
 }
 

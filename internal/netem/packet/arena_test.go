@@ -2,6 +2,7 @@ package packet
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -172,5 +173,33 @@ func TestArenaTCPAliasesPayload(t *testing.T) {
 	p := a.NewTCP(srcA, dstA, 1, 2, 0, 0, FlagACK, pay)
 	if &p.Payload[0] != &pay[0] {
 		t.Fatal("arena NewTCP copied the payload; expected aliasing")
+	}
+}
+
+// TestArenaResetZeroesReusedSlots: Reset clears only the slots handed out
+// since the last Reset, yet every slot handed out afterwards is zero,
+// whether the previous cycle filled whole slabs or part of one.
+func TestArenaResetZeroesReusedSlots(t *testing.T) {
+	a := NewArena()
+	defer a.Release()
+	raw := NewTCP(srcA, dstA, 4000, 80, 1, 2, FlagACK, []byte("x")).Serialize()
+	// Cycles of different lengths: part of one slab, more than a slab,
+	// then part of one again over slots the longer cycle dirtied.
+	for _, n := range []int{3, arenaFrameChunk + 7, 5, 2*arenaFrameChunk + 1, 1} {
+		for i := 0; i < n; i++ {
+			f := a.frame()
+			if !reflect.ValueOf(f).Elem().IsZero() {
+				t.Fatalf("cycle of %d: frame %d handed out dirty: %+v", n, i, *f)
+			}
+			pa := a.parse()
+			if !reflect.ValueOf(pa).Elem().IsZero() {
+				t.Fatalf("cycle of %d: parse block %d handed out dirty", n, i)
+			}
+			*f = Frame{raw: raw, ttlDelta: 1, ar: a, psN: 1}
+			pa.pkt.IP.TTL = 9
+			pa.pkt.TCP = &pa.tcp
+			pa.tcp.Seq = 7
+		}
+		a.Reset()
 	}
 }

@@ -17,14 +17,20 @@ package packet
 //
 // Internally a frame may carry pending TTL decrements that have not yet
 // been applied to a private copy of the bytes (ttlDelta). Consecutive
-// routers then share one buffer, and the copy + RFC 1624 checksum patches
-// are applied once, by the first reader downstream. This is invisible to
-// callers: Raw and Parse always present the fully patched bytes.
+// routers then share one buffer. Parse never copies: it parses the shared
+// bytes and patches the TTL and RFC 1624 header checksum into the parse.
+// Only Raw pays for the copy, once, for the readers that need the wire
+// bytes themselves. This is invisible to callers: Raw and Parse always
+// present the fully patched bytes.
 type Frame struct {
 	raw      []byte
 	ttlDelta uint8 // pending TTL decrements not yet applied to raw
 	pkt      *Packet
 	defects  DefectSet
+	// inherited marks pkt as the parse of the frame this one was derived
+	// from by WithTTLDecrementedBy, so its TTL and header checksum are
+	// stale; Parse patches them into a copy.
+	inherited bool
 	// ar, when non-nil, is the arena this frame was allocated from.
 	// Derived allocations (TTL-decrement frames, materialized byte copies,
 	// the cached parse) draw from the same arena, so a frame's whole
@@ -47,11 +53,9 @@ func NewFrame(raw []byte) *Frame { return &Frame{raw: raw} }
 func FrameOf(p *Packet) *Frame { return &Frame{raw: p.Serialize()} }
 
 // materialize applies any pending TTL decrements to a private copy of the
-// bytes. Decrements are replayed one at a time so the resulting checksum
-// bytes are bit-identical to a chain of per-hop updates. A parse inherited
-// from the pre-decrement frame is carried across by shallow-copying it and
-// patching the two fields a router changes — the defect set is TTL-invariant
-// under an incremental update, so it transfers untouched.
+// bytes, with the checksum bit-identical to a chain of per-hop updates
+// (decrementedChecksum). The parse, if any, is left alone: it already
+// denotes the decremented bytes, or is inherited and patched by Parse.
 func (f *Frame) materialize() {
 	if f.ttlDelta == 0 {
 		return
@@ -63,25 +67,9 @@ func (f *Frame) materialize() {
 		out = make([]byte, len(f.raw))
 	}
 	copy(out, f.raw)
-	for i := uint8(0); i < f.ttlDelta; i++ {
-		decrementTTL(out)
-	}
+	ttl, hc := f.ttlAndChecksum()
+	out[8], out[10], out[11] = ttl, byte(hc>>8), byte(hc)
 	f.raw, f.ttlDelta = out, 0
-	if f.pkt != nil {
-		// Transport headers, options, and payload stay shared with the
-		// parent's parse — safe because both are read-only views over
-		// byte-identical regions.
-		var q *Packet
-		if f.ar != nil {
-			q = &f.ar.parse().pkt
-		} else {
-			q = &Packet{}
-		}
-		*q = *f.pkt
-		q.IP.TTL = out[8]
-		q.IP.Checksum = uint16(out[10])<<8 | uint16(out[11])
-		f.pkt = q
-	}
 }
 
 // Raw returns the wire bytes. Callers must treat them as read-only.
@@ -100,12 +88,42 @@ func (f *Frame) TTL() uint8 { return f.raw[8] - f.ttlDelta }
 // Parse returns the cached parse of the frame, computing it on first use.
 // The returned packet is a read-only view whose Payload and Options alias
 // the frame's raw bytes; callers that want to mutate it must Clone first.
+//
+// Pending TTL decrements cost no copy here. The parse is taken over the
+// shared pre-decrement bytes (or shallow-copied from the inherited parse)
+// and gets the effective TTL and header checksum patched in. The defect
+// set carries over unchanged, because an RFC 1624 update keeps a header
+// checksum exactly as valid or as wrong as it was.
 func (f *Frame) Parse() (*Packet, DefectSet) {
-	if f.pkt == nil {
-		f.materialize()
-		f.pkt, f.defects = inspect(f.ar, f.raw, true, f.psVal, f.psN)
+	if f.pkt != nil && !f.inherited {
+		return f.pkt, f.defects
 	}
+	var q *Packet
+	if f.inherited {
+		// Transport headers, options, and payload stay shared with the
+		// parent's parse — safe because both are read-only views over
+		// byte-identical regions.
+		if f.ar != nil {
+			q = &f.ar.parse().pkt
+		} else {
+			q = &Packet{}
+		}
+		*q = *f.pkt
+	} else {
+		q, f.defects = inspect(f.ar, f.raw, true, f.psVal, f.psN)
+	}
+	if f.ttlDelta > 0 || f.inherited {
+		q.IP.TTL, q.IP.Checksum = f.ttlAndChecksum()
+	}
+	f.pkt, f.inherited = q, false
 	return f.pkt, f.defects
+}
+
+// ttlAndChecksum returns the IP TTL and header checksum the frame denotes:
+// raw's, after the pending decrements.
+func (f *Frame) ttlAndChecksum() (uint8, uint16) {
+	hc := uint16(f.raw[10])<<8 | uint16(f.raw[11])
+	return f.raw[8] - f.ttlDelta, decrementedChecksum(hc, f.ttlDelta)
 }
 
 // Parsed reports whether the parse cache is populated.
@@ -122,30 +140,32 @@ func (f *Frame) Parsed() bool { return f.pkt != nil }
 // The decrement is always lazy: the new frame shares the raw buffer (and
 // any cached parse) with its parent and just records n more pending
 // decrements, so a run of routers costs one small allocation and zero
-// copies. The first downstream reader pays for one copy and — when the
-// parent had a warm parse — one shallow parse patch, so a datagram still
-// parses at most once across any number of routers.
+// copies. A downstream Parse patches a shallow copy of a warm parse, so a
+// datagram still parses at most once across any number of routers, and
+// only a downstream Raw copies the bytes.
 func (f *Frame) WithTTLDecrementedBy(n uint8) *Frame {
 	if f.ar != nil {
 		nf := f.ar.frame()
-		*nf = Frame{raw: f.raw, ttlDelta: f.ttlDelta + n, pkt: f.pkt, defects: f.defects, ar: f.ar, psVal: f.psVal, psN: f.psN}
+		*nf = Frame{raw: f.raw, ttlDelta: f.ttlDelta + n, pkt: f.pkt, defects: f.defects, inherited: f.pkt != nil, ar: f.ar, psVal: f.psVal, psN: f.psN}
 		return nf
 	}
-	return &Frame{raw: f.raw, ttlDelta: f.ttlDelta + n, pkt: f.pkt, defects: f.defects, psVal: f.psVal, psN: f.psN}
+	return &Frame{raw: f.raw, ttlDelta: f.ttlDelta + n, pkt: f.pkt, defects: f.defects, inherited: f.pkt != nil, psVal: f.psVal, psN: f.psN}
 }
 
-// decrementTTL lowers the TTL byte in place and incrementally updates the
-// header checksum per RFC 1624 eqn. 3: HC' = ~(~HC + ~m + m').
-func decrementTTL(raw []byte) {
-	oldWord := uint16(raw[8])<<8 | uint16(raw[9])
-	raw[8]--
-	newWord := uint16(raw[8])<<8 | uint16(raw[9])
-	hc := uint16(raw[10])<<8 | uint16(raw[11])
-	sum := uint32(^hc) + uint32(^oldWord) + uint32(newWord)
-	for sum > 0xffff {
-		sum = (sum >> 16) + (sum & 0xffff)
+// decrementedChecksum returns the IP header checksum hc after n TTL
+// decrements, each an RFC 1624 eqn. 3 update HC' = ~(~HC + ~m + m'), bit
+// for bit. The TTL shares its 16-bit header word m with the protocol byte,
+// and decrementing a nonzero TTL lowers m by exactly 0x100, so ~m + m' is
+// always 0xFEFF and each update is one end-around-carry addition of 0xFEFF
+// to ~HC. Frames carry a TTL above their pending decrements (see
+// WithTTLDecrementedBy), so the TTL never wraps.
+func decrementedChecksum(hc uint16, n uint8) uint16 {
+	x := uint32(^hc)
+	for ; n > 0; n-- {
+		x += 0xFEFF
+		if x > 0xFFFF {
+			x -= 0xFFFF
+		}
 	}
-	hc = ^uint16(sum)
-	raw[10] = byte(hc >> 8)
-	raw[11] = byte(hc)
+	return ^uint16(x)
 }

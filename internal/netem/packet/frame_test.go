@@ -130,3 +130,86 @@ func TestWithTTLDecrementedPreservesBadChecksum(t *testing.T) {
 		t.Fatalf("wire bytes wrong: TTL=%d defects=%v", q.IP.TTL, d)
 	}
 }
+
+// TestParsePendingTTLWithoutCopy: parsing a frame with pending TTL
+// decrements reads the shared bytes without copying them, yet reports the
+// TTL and header checksum of the per-hop chain, fresh or inherited, and
+// Raw still produces the patched bytes.
+func TestParsePendingTTLWithoutCopy(t *testing.T) {
+	p := NewTCP(srcA, dstA, 4000, 80, 9, 9, FlagACK, []byte("ttl-test"))
+	p.IP.TTL = 30
+	p.Finalize()
+	raw := p.Serialize()
+	chainRaw := func(n uint8) []byte {
+		b := append([]byte(nil), raw...)
+		for i := uint8(0); i < n; i++ {
+			decrementTTL(b)
+		}
+		return b
+	}
+	for _, warm := range []bool{false, true} {
+		for _, n := range []uint8{1, 3, 12} {
+			parent := NewFrame(raw)
+			if warm {
+				parent.Parse()
+			}
+			g := parent.WithTTLDecrementedBy(n)
+			gp, gd := g.Parse()
+			if &g.raw[0] != &raw[0] || g.ttlDelta != n {
+				t.Fatalf("warm=%v n=%d: Parse copied the frame's bytes", warm, n)
+			}
+			want, wd := Inspect(chainRaw(n))
+			if gp.IP.TTL != want.IP.TTL || gp.IP.Checksum != want.IP.Checksum || gd != wd {
+				t.Fatalf("warm=%v n=%d: parse TTL=%d cs=%04x defects=%v, want TTL=%d cs=%04x defects=%v",
+					warm, n, gp.IP.TTL, gp.IP.Checksum, gd, want.IP.TTL, want.IP.Checksum, wd)
+			}
+			if !bytes.Equal(gp.Payload, want.Payload) {
+				t.Fatalf("warm=%v n=%d: payload differs", warm, n)
+			}
+			if !bytes.Equal(g.Raw(), chainRaw(n)) {
+				t.Fatalf("warm=%v n=%d: Raw differs from the per-hop chain", warm, n)
+			}
+			if again, _ := g.Parse(); again != gp {
+				t.Fatalf("warm=%v n=%d: Raw replaced the cached parse", warm, n)
+			}
+			if pp, _ := parent.Parse(); pp.IP.TTL != 30 {
+				t.Fatalf("warm=%v n=%d: parent parse patched to TTL %d", warm, n, pp.IP.TTL)
+			}
+		}
+	}
+}
+
+// decrementTTL is the per-hop reference: one router's TTL decrement with
+// the header checksum updated per RFC 1624 eqn. 3, HC' = ~(~HC + ~m + m'),
+// on the bytes themselves.
+func decrementTTL(raw []byte) {
+	oldWord := uint16(raw[8])<<8 | uint16(raw[9])
+	raw[8]--
+	newWord := uint16(raw[8])<<8 | uint16(raw[9])
+	hc := uint16(raw[10])<<8 | uint16(raw[11])
+	sum := uint32(^hc) + uint32(^oldWord) + uint32(newWord)
+	for sum > 0xffff {
+		sum = (sum >> 16) + (sum & 0xffff)
+	}
+	hc = ^uint16(sum)
+	raw[10] = byte(hc >> 8)
+	raw[11] = byte(hc)
+}
+
+// TestDecrementedChecksumMatchesPerHopChain checks the batched checksum
+// against a chain of per-hop RFC 1624 updates for every 16-bit checksum
+// value, valid or not, and every decrement count a TTL allows.
+func TestDecrementedChecksumMatchesPerHopChain(t *testing.T) {
+	hdr := make([]byte, 12)
+	for _, proto := range []byte{ProtoTCP, ProtoUDP} {
+		for hc := 0; hc <= 0xffff; hc++ {
+			hdr[8], hdr[9], hdr[10], hdr[11] = 40, proto, byte(hc>>8), byte(hc)
+			for n := uint8(1); n < 40; n++ {
+				decrementTTL(hdr)
+				if got, want := decrementedChecksum(uint16(hc), n), uint16(hdr[10])<<8|uint16(hdr[11]); got != want {
+					t.Fatalf("proto %d checksum %04x after %d decrements: %04x, per-hop chain %04x", proto, hc, n, got, want)
+				}
+			}
+		}
+	}
+}

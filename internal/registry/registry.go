@@ -103,15 +103,18 @@ func NewNetwork(name string) (*dpi.Network, error) {
 	return nil, fmt.Errorf("registry: unknown network profile %q (have %v)", name, NetworkNames())
 }
 
-// NewTrace builds the named built-in trace at the given nominal body
-// size; body <= 0 selects DefaultBody.
+// NewTrace returns the named built-in trace at the given nominal body
+// size; body <= 0 selects DefaultBody. Every call for one (name, body)
+// returns the same trace from the process-wide derived-trace memo
+// (trace.Named), so the probes derived from it are shared as well. The
+// trace is shared and must be treated as immutable.
 func NewTrace(name string, body int) (*trace.Trace, error) {
 	if body <= 0 {
 		body = DefaultBody
 	}
 	for _, t := range traces {
 		if t.Name == name {
-			return t.New(body), nil
+			return trace.Named(name, body, func() *trace.Trace { return t.New(body) }), nil
 		}
 	}
 	return nil, fmt.Errorf("registry: unknown trace %q (have %v)", name, TraceNames())

@@ -78,7 +78,10 @@ var (
 type (
 	// Network is a simulated evaluation environment.
 	Network = dpi.Network
-	// Trace is a recorded application flow.
+	// Trace is a recorded application flow. Treat a trace as immutable
+	// once an engagement or replay has used it: the probes and replay
+	// scripts derived from it are memoized per trace for the whole
+	// process. Edit a Clone or ShallowClone instead.
 	Trace = trace.Trace
 	// TraceMessage is one application write in a trace.
 	TraceMessage = trace.Message
