@@ -262,7 +262,7 @@ func BenchmarkArenaWire(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := a.NewTCP(src, dst, 1234, 80, uint32(i), 1, packet.FlagACK, payload)
+		p := a.NewTCP(src, dst, 0, 1234, 80, uint32(i), 1, packet.FlagACK, payload)
 		_ = a.Wire(p)
 		if i%256 == 255 {
 			a.Reset()
@@ -281,7 +281,7 @@ func BenchmarkFrameParseHint(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := a.NewTCP(src, dst, 1234, 80, uint32(i), 1, packet.FlagACK, payload)
+		p := a.NewTCP(src, dst, 0, 1234, 80, uint32(i), 1, packet.FlagACK, payload)
 		f := a.FrameOf(p)
 		if _, defects := f.Parse(); !defects.Empty() {
 			b.Fatal("unexpected defects")

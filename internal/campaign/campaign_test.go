@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netem/stack"
+	"repro/internal/registry"
 )
 
 func TestSpecExpansion(t *testing.T) {
@@ -56,6 +57,31 @@ func TestSpecValidation(t *testing.T) {
 	}
 	if err := (Spec{Retries: -1}).Validate(); err == nil {
 		t.Error("negative retries should fail validation")
+	}
+}
+
+// TestValidateBuildsNothing: Validate checks network and trace names by
+// lookup alone. It builds no network and no trace, so it fills no
+// derived-trace memo entry; building even one network or one default-body
+// trace costs hundreds of allocations. Unknown names still fail, with the
+// registry's own error text.
+func TestValidateBuildsNothing(t *testing.T) {
+	all := Spec{} // every network and every trace, at the default body
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := all.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 8 {
+		t.Fatalf("Validate of the full registry made %.0f allocations; it should build nothing", allocs)
+	}
+	_, wantNet := registry.NewNetwork("verizon")
+	if err := (Spec{Networks: []string{"tmobile", "verizon"}}).Validate(); err == nil || err.Error() != wantNet.Error() {
+		t.Fatalf("unknown network: got %v, want %v", err, wantNet)
+	}
+	_, wantTrace := registry.NewTrace("netflix", 0)
+	if err := (Spec{Traces: []string{"amazon", "netflix"}}).Validate(); err == nil || err.Error() != wantTrace.Error() {
+		t.Fatalf("unknown trace: got %v, want %v", err, wantTrace)
 	}
 }
 

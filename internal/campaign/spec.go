@@ -217,12 +217,12 @@ func (s Spec) withDefaults() Spec {
 func (s Spec) Validate() error {
 	eff := s.withDefaults()
 	for _, n := range eff.Networks {
-		if _, err := registry.NewNetwork(n); err != nil {
+		if _, err := registry.LookupNetwork(n); err != nil {
 			return err
 		}
 	}
 	for _, t := range eff.Traces {
-		if _, err := registry.NewTrace(t, 0); err != nil {
+		if _, err := registry.LookupTrace(t); err != nil {
 			return err
 		}
 	}

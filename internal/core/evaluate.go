@@ -373,7 +373,7 @@ func evaluateTechniqueOnce(s *Session, probe *trace.Trace, det *Detection, char 
 	judgeTail := t.ID == "pause-after-match" || t.ID == "ttl-rst-after"
 	target := probe
 	if judgeTail {
-		target = twoPart(probe)
+		target = s.twoPartProbe(probe)
 	}
 
 	for variant := 0; variant < variants; variant++ {

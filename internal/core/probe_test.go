@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/netem/packet"
 	"repro/internal/trace"
 )
 
@@ -65,5 +66,37 @@ func TestSessionKeepsProbesPastEviction(t *testing.T) {
 	}
 	if (&Session{}).paddedProbe(tr, 1<<20) == pad {
 		t.Fatal("the memo kept a family past several budgets of newer ones")
+	}
+}
+
+// TestTwoPartProbeCarriesSegmentSums: the two-part probe is derived once
+// per session, and every segment a replay builds from it with its
+// precomputed sums carries the checksum a fresh Finalize gives.
+func TestTwoPartProbeCarriesSegmentSums(t *testing.T) {
+	s := &Session{}
+	tr := trace.AmazonPrimeVideo(96 << 10)
+	tp := s.twoPartProbe(tr)
+	if s.twoPartProbe(tr) != tp {
+		t.Fatal("a repeated two-part request built a new probe")
+	}
+	if trace.ContentHash(tp) != trace.ContentHash(twoPart(tr)) || len(tp.Messages) != len(tr.Messages)+2 {
+		t.Fatal("memoized two-part probe differs from the direct build")
+	}
+	a := packet.NewArena()
+	defer a.Release()
+	src, dst := packet.AddrFrom("10.0.0.2"), packet.AddrFrom("203.0.113.10")
+	for i, m := range tp.Messages {
+		sums := m.CheckedSegSums()
+		if len(m.Data) > 0 && sums == nil {
+			t.Fatalf("message %d has no valid segment sums", i)
+		}
+		for k, sum := range sums {
+			seg := m.Data[k*packet.MSS : min((k+1)*packet.MSS, len(m.Data))]
+			got := a.NewTCPSummed(src, dst, 1, 80, 41000, 7, 9, packet.FlagACK, seg, sum)
+			want := packet.NewTCP(src, dst, 80, 41000, 7, 9, packet.FlagACK, seg)
+			if got.TCP.Checksum != want.TCP.Checksum {
+				t.Fatalf("message %d segment %d: checksum %#04x, fresh Finalize gives %#04x", i, k, got.TCP.Checksum, want.TCP.Checksum)
+			}
+		}
 	}
 }

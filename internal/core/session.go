@@ -367,9 +367,15 @@ func trimTrace(tr *trace.Trace, maxTail int) *trace.Trace {
 // after the matching one).
 func TwoPartTrace(tr *trace.Trace) *trace.Trace { return twoPart(tr) }
 
+// twoPartProbe returns twoPart(tr), held per session like every probe.
+func (s *Session) twoPartProbe(tr *trace.Trace) *trace.Trace {
+	return s.derive(tr, "twopart", 0, func() *trace.Trace { return twoPart(tr) })
+}
+
 // twoPart rewrites a trace into the two-phase shape flushing probes need:
 // request → small first response → continuation request → response tail.
-// The continuation request carries no matching content.
+// The continuation request carries no matching content. The split
+// messages get their own segment sums, so replays never re-sum them.
 func twoPart(tr *trace.Trace) *trace.Trace {
 	c := tr.ShallowClone() // splits are views into the shared payloads
 
@@ -394,6 +400,9 @@ func twoPart(tr *trace.Trace) *trace.Trace {
 			trace.Message{Dir: trace.ServerToClient, Data: rest},
 		)
 		out = append(out, c.Messages[i+1:]...)
+		for j := i; j < i+3; j++ {
+			out[j].Precompute()
+		}
 		c.Messages = out
 		return c
 	}

@@ -88,6 +88,12 @@ func GFCLoad() LoadModel {
 	return LoadModel{
 		MinIdle: minIdle,
 		EvictProb: func(hour float64, idle time.Duration) float64 {
+			// minIdle is 35 s plus a term positive at every hour (the load
+			// never exceeds 0.97, so it adds at least 1.5 s): shorter idles
+			// are never evictable, and skip the Sin and Pow.
+			if idle < 35*time.Second {
+				return 0
+			}
 			mi := minIdle(hour)
 			if idle < mi {
 				return 0

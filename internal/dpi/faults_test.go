@@ -130,7 +130,7 @@ func TestOutageWindowEnds(t *testing.T) {
 
 func TestFaultStreamForksInLockstep(t *testing.T) {
 	m := NewMiddlebox(blockingCfg(Faults{MissRate: 0.5}))
-	now := time.Now()
+	var now int64
 	key := func(i int) packet.FlowKey {
 		return packet.FlowKey{Proto: packet.ProtoTCP, Src: cAddr, Dst: sAddr, SrcPort: uint16(40000 + i), DstPort: 80}
 	}

@@ -63,7 +63,7 @@ type mbFlow struct {
 	class    string
 	zeroRate bool // memoized Policies[class].ZeroRate (valid when zrSet)
 	zrSet    bool
-	lastSeen time.Time
+	lastSeen int64         // virtual ns since the vclock epoch
 	timeout  time.Duration // effective idle timeout (0 = config default)
 
 	inspected      [2]int // payload packets inspected, per direction
@@ -315,8 +315,7 @@ func (m *Middlebox) inspectPacket(ctx netem.Context, dir netem.Direction, p *pac
 	if f == nil || f.missed {
 		return
 	}
-	now := ctx.Now()
-	f.lastSeen = now
+	f.lastSeen = ctx.VNS()
 	di := 0
 	if dir == netem.ToClient {
 		di = 1
@@ -592,10 +591,10 @@ func (m *Middlebox) clientKey(dir netem.Direction, p *packet.Packet) packet.Flow
 func (m *Middlebox) flowFor(ctx netem.Context, dir netem.Direction, p *packet.Packet) *mbFlow {
 	clientKey := m.clientKey(dir, p)
 	ck, _ := p.CanonicalFlow()
-	now := ctx.Now()
+	now := ctx.VNS()
 	f, ok := m.flows[ck]
 	if ok {
-		idle := now.Sub(f.lastSeen)
+		idle := time.Duration(now - f.lastSeen)
 		reason := "" // empty = keep; otherwise the eviction cause
 		to := f.timeout
 		if to == 0 {
@@ -703,7 +702,7 @@ func (m *Middlebox) Release() {
 // miss draw (Faults.MissRate). Every new flow costs exactly one draw when
 // the knob is active, so the fault stream's position depends only on the
 // flow-creation sequence.
-func (m *Middlebox) newFlowRecord(ctx netem.Context, clientKey packet.FlowKey, sawSYN bool, now time.Time) *mbFlow {
+func (m *Middlebox) newFlowRecord(ctx netem.Context, clientKey packet.FlowKey, sawSYN bool, now int64) *mbFlow {
 	var f *mbFlow
 	if n := len(m.flowFree); n > 0 {
 		f = m.flowFree[n-1]
@@ -746,8 +745,8 @@ func (m *Middlebox) enforceFlowCap(ctx netem.Context, justAdded packet.FlowKey) 
 		if k == justAdded {
 			continue
 		}
-		if vf == nil || f.lastSeen.Before(vf.lastSeen) ||
-			(f.lastSeen.Equal(vf.lastSeen) && k.Less(victim)) {
+		if vf == nil || f.lastSeen < vf.lastSeen ||
+			(f.lastSeen == vf.lastSeen && k.Less(victim)) {
 			victim, vf = k, f
 		}
 	}
@@ -982,7 +981,7 @@ func (m *Middlebox) forward(ctx netem.Context, dir netem.Direction, p *packet.Pa
 			sh = newShaper(pol.ThrottleBps, pol.ThrottleBurst)
 			m.shapers[class] = sh
 		}
-		d := sh.delay(ctx.Now(), f.Len())
+		d := sh.delay(ctx.VNS(), f.Len())
 		if d > 0 {
 			if ctx.Traced() {
 				m.event(ctx, obs.KindDPIThrottle, obs.CtrThrottleDelays, class, m.clientKey(dir, p), int64(d), 0)
@@ -1002,14 +1001,16 @@ func blockPage() []byte {
 	return append([]byte(head), body...)
 }
 
-// shaper is a token bucket.
+// shaper is a token bucket. Its times are virtual ns since the vclock
+// epoch.
 type shaper struct {
 	rate   float64 // bytes/sec
 	burst  float64
 	tokens float64
-	last   time.Time
+	last   int64 // the previous packet's arrival, when seen
+	seen   bool
 	// nextFree serializes queued packets so ordering is preserved.
-	nextFree time.Time
+	nextFree int64
 }
 
 func newShaper(bps float64, burstBytes int) *shaper {
@@ -1020,11 +1021,11 @@ func newShaper(bps float64, burstBytes int) *shaper {
 }
 
 // delay returns how long a packet of n bytes must wait.
-func (s *shaper) delay(now time.Time, n int) time.Duration {
-	if s.last.IsZero() {
-		s.last = now
+func (s *shaper) delay(now int64, n int) time.Duration {
+	if !s.seen {
+		s.last, s.seen = now, true
 	}
-	s.tokens += now.Sub(s.last).Seconds() * s.rate
+	s.tokens += time.Duration(now-s.last).Seconds() * s.rate
 	if s.tokens > s.burst {
 		s.tokens = s.burst
 	}
@@ -1034,10 +1035,10 @@ func (s *shaper) delay(now time.Time, n int) time.Duration {
 	if s.tokens < 0 {
 		d = time.Duration(-s.tokens / s.rate * float64(time.Second))
 	}
-	at := now.Add(d)
-	if at.Before(s.nextFree) {
+	at := now + int64(d)
+	if at < s.nextFree {
 		at = s.nextFree
-		d = at.Sub(now)
+		d = time.Duration(at - now)
 	}
 	s.nextFree = at
 	return d

@@ -121,7 +121,9 @@ type Pipe struct {
 	// RateBps is the link capacity in bits per second.
 	RateBps float64
 
-	nextFree [2]time.Time
+	// nextFree is when each direction's transmitter frees up, in virtual
+	// ns since the vclock epoch.
+	nextFree [2]int64
 }
 
 // Name implements Element.
@@ -141,14 +143,10 @@ func (p *Pipe) Process(ctx Context, dir Direction, f *packet.Frame) {
 		return
 	}
 	tx := time.Duration(float64(f.Len()*8) / p.RateBps * float64(time.Second))
-	now := ctx.Now()
-	start := now
-	if p.nextFree[dir].After(start) {
-		start = p.nextFree[dir]
-	}
-	done := start.Add(tx)
+	now := ctx.VNS()
+	done := max(now, p.nextFree[dir]) + int64(tx)
 	p.nextFree[dir] = done
-	ctx.ForwardAfter(done.Sub(now), f)
+	ctx.ForwardAfter(time.Duration(done-now), f)
 }
 
 // TCPChecksumFixer rewrites incorrect TCP checksums to correct ones, the

@@ -217,11 +217,24 @@ func (a *Arena) NewFrame(raw []byte) *Frame {
 // payload sum is current (finalized and not rebound since), the frame
 // carries it as a verification hint, so downstream parses of this
 // stack-built frame skip the per-byte payload re-sum.
+//
+// A segment from a summed builder (NewTCPSummed, NewUDPSummed) whose
+// payload is still the slice it was built over, with no trailer, is not
+// copied: the frame holds its serialized headers in the arena and aliases
+// the payload, which the summed builders' contract keeps unmodified until
+// the arena's next Reset. Raw assembles the contiguous bytes on first use.
 func (a *Arena) FrameOf(p *Packet) *Frame {
-	f := a.frame()
-	*f = Frame{raw: a.Wire(p), ar: a}
-	if v, n, ok := p.paySumHint(); ok {
-		f.psVal, f.psN = v, n
+	f := a.frame() // zeroed: set only the fields that differ
+	f.ar = a
+	v, ok := p.CachedPayloadSum()
+	if ok {
+		f.psVal, f.psN = v, len(p.Payload)
+	}
+	if ok && p.paySum.stable && len(p.TrailerPadding) == 0 {
+		f.raw = p.appendHeaders(a.buf(p.IP.headerLen() + p.transportLen()))
+		f.pay = p.Payload
+	} else {
+		f.raw = a.Wire(p)
 	}
 	return f
 }
@@ -232,49 +245,43 @@ func (a *Arena) Wire(p *Packet) []byte {
 	return p.AppendSerialize(a.buf(p.wireLen()))
 }
 
-// NewTCP builds a finalized TCP packet out of arena storage: the packet
-// and its transport header live in the arena. The payload is ALIASED,
-// not copied — sound under the repository-wide invariant (see
-// paySumCache) that payload bytes are never mutated in place, and the
-// builder's output is normally serialized (copied to wire bytes) within
-// the same event anyway. Semantically identical to packet.NewTCP.
-func (a *Arena) NewTCP(src, dst Addr, srcPort, dstPort uint16, seq, ack uint32, flags TCPFlags, payload []byte) *Packet {
-	pa := a.parse()
-	p := &pa.pkt
-	p.IP = IPv4{TTL: DefaultTTL, Protocol: ProtoTCP, Src: src, Dst: dst}
-	pa.tcp = TCP{
-		SrcPort: srcPort, DstPort: dstPort,
-		Seq: seq, Ack: ack, Flags: flags, Window: 65535,
-	}
-	p.TCP = &pa.tcp
-	if len(payload) > 0 {
-		p.Payload = payload
-	}
-	return p.Finalize()
-}
+// The builders below return finalized packets out of arena storage: the
+// packet and its transport header live in the arena, and id is the IP
+// identification, so each segment is finalized exactly once. The payload
+// is ALIASED, not copied — sound under the repository-wide invariant (see
+// paySumCache) that payload bytes are never mutated in place. Apart from
+// the IP ID they are semantically identical to packet.NewTCP/NewUDP.
 
-// NewUDPSummed is NewUDP seeded with a precomputed payload partial sum
-// (see NewTCPSummed).
-func (a *Arena) NewUDPSummed(src, dst Addr, srcPort, dstPort uint16, payload []byte, paySum uint32) *Packet {
-	pa := a.parse()
-	p := &pa.pkt
-	p.IP = IPv4{TTL: DefaultTTL, Protocol: ProtoUDP, Src: src, Dst: dst}
-	pa.udp = UDP{SrcPort: srcPort, DstPort: dstPort}
-	p.UDP = &pa.udp
-	if len(payload) > 0 {
-		p.Payload = payload
-		p.paySum = paySumCache{ptr: &payload[0], n: len(payload), val: paySum}
-	}
-	return p.Finalize()
+// NewTCP builds a finalized TCP packet.
+func (a *Arena) NewTCP(src, dst Addr, id uint16, srcPort, dstPort uint16, seq, ack uint32, flags TCPFlags, payload []byte) *Packet {
+	return a.tcp(src, dst, id, srcPort, dstPort, seq, ack, flags, payload).Finalize()
 }
 
 // NewTCPSummed is NewTCP with a precomputed payload partial sum (see
-// PayloadSum): the packet's checksum cache is seeded before the first
-// Finalize, so building the segment never walks the payload bytes.
-func (a *Arena) NewTCPSummed(src, dst Addr, srcPort, dstPort uint16, seq, ack uint32, flags TCPFlags, payload []byte, paySum uint32) *Packet {
+// PayloadSum): the packet's checksum cache is seeded before Finalize, so
+// building the segment never walks the payload bytes. The caller must
+// keep payload unmodified until the arena's next Reset, because FrameOf
+// aliases it rather than copying it.
+func (a *Arena) NewTCPSummed(src, dst Addr, id uint16, srcPort, dstPort uint16, seq, ack uint32, flags TCPFlags, payload []byte, paySum uint32) *Packet {
+	return a.tcp(src, dst, id, srcPort, dstPort, seq, ack, flags, payload).seedStableSum(paySum).Finalize()
+}
+
+// NewUDP builds a finalized UDP packet.
+func (a *Arena) NewUDP(src, dst Addr, id uint16, srcPort, dstPort uint16, payload []byte) *Packet {
+	return a.udp(src, dst, id, srcPort, dstPort, payload).Finalize()
+}
+
+// NewUDPSummed is NewUDP seeded with a precomputed payload partial sum,
+// under NewTCPSummed's contract.
+func (a *Arena) NewUDPSummed(src, dst Addr, id uint16, srcPort, dstPort uint16, payload []byte, paySum uint32) *Packet {
+	return a.udp(src, dst, id, srcPort, dstPort, payload).seedStableSum(paySum).Finalize()
+}
+
+// tcp lays out an unfinalized TCP packet in arena storage.
+func (a *Arena) tcp(src, dst Addr, id uint16, srcPort, dstPort uint16, seq, ack uint32, flags TCPFlags, payload []byte) *Packet {
 	pa := a.parse()
 	p := &pa.pkt
-	p.IP = IPv4{TTL: DefaultTTL, Protocol: ProtoTCP, Src: src, Dst: dst}
+	p.IP = IPv4{ID: id, TTL: DefaultTTL, Protocol: ProtoTCP, Src: src, Dst: dst}
 	pa.tcp = TCP{
 		SrcPort: srcPort, DstPort: dstPort,
 		Seq: seq, Ack: ack, Flags: flags, Window: 65535,
@@ -282,21 +289,28 @@ func (a *Arena) NewTCPSummed(src, dst Addr, srcPort, dstPort uint16, seq, ack ui
 	p.TCP = &pa.tcp
 	if len(payload) > 0 {
 		p.Payload = payload
-		p.paySum = paySumCache{ptr: &payload[0], n: len(payload), val: paySum}
 	}
-	return p.Finalize()
+	return p
 }
 
-// NewUDP builds a finalized UDP packet out of arena storage, aliasing the
-// payload like NewTCP — the arena counterpart of packet.NewUDP.
-func (a *Arena) NewUDP(src, dst Addr, srcPort, dstPort uint16, payload []byte) *Packet {
+// udp lays out an unfinalized UDP packet in arena storage.
+func (a *Arena) udp(src, dst Addr, id uint16, srcPort, dstPort uint16, payload []byte) *Packet {
 	pa := a.parse()
 	p := &pa.pkt
-	p.IP = IPv4{TTL: DefaultTTL, Protocol: ProtoUDP, Src: src, Dst: dst}
+	p.IP = IPv4{ID: id, TTL: DefaultTTL, Protocol: ProtoUDP, Src: src, Dst: dst}
 	pa.udp = UDP{SrcPort: srcPort, DstPort: dstPort}
 	p.UDP = &pa.udp
 	if len(payload) > 0 {
 		p.Payload = payload
 	}
-	return p.Finalize()
+	return p
+}
+
+// seedStableSum seeds the checksum cache with the caller's payload sum and
+// marks the payload stable for FrameOf.
+func (p *Packet) seedStableSum(sum uint32) *Packet {
+	if len(p.Payload) > 0 {
+		p.paySum = paySumCache{ptr: &p.Payload[0], n: len(p.Payload), val: sum, stable: true}
+	}
+	return p
 }

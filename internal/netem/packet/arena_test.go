@@ -14,13 +14,13 @@ func TestArenaWireMatchesSerialize(t *testing.T) {
 
 	pay := []byte("GET /video HTTP/1.1\r\nHost: example.com\r\n\r\n")
 	heap := NewTCP(srcA, dstA, 40000, 80, 1000, 2000, FlagACK|FlagPSH, pay)
-	ar := a.NewTCP(srcA, dstA, 40000, 80, 1000, 2000, FlagACK|FlagPSH, pay)
+	ar := a.NewTCP(srcA, dstA, 0, 40000, 80, 1000, 2000, FlagACK|FlagPSH, pay)
 	if !bytes.Equal(heap.Serialize(), a.Wire(ar)) {
 		t.Fatal("arena TCP wire bytes differ from heap Serialize")
 	}
 
 	heapU := NewUDP(srcA, dstA, 5000, 3478, []byte{0, 1, 0, 8})
-	arU := a.NewUDP(srcA, dstA, 5000, 3478, []byte{0, 1, 0, 8})
+	arU := a.NewUDP(srcA, dstA, 0, 5000, 3478, []byte{0, 1, 0, 8})
 	if !bytes.Equal(heapU.Serialize(), a.Wire(arU)) {
 		t.Fatal("arena UDP wire bytes differ from heap Serialize")
 	}
@@ -34,7 +34,7 @@ func TestArenaFrameParseRoundTrip(t *testing.T) {
 	defer a.Release()
 
 	pay := []byte("0123456789abcdef0123456789abcdef")
-	p := a.NewTCP(srcA, dstA, 40000, 80, 7, 9, FlagACK, pay)
+	p := a.NewTCP(srcA, dstA, 0, 40000, 80, 7, 9, FlagACK, pay)
 	f := a.FrameOf(p)
 	q, defects := f.Parse()
 	if !defects.Empty() {
@@ -52,7 +52,7 @@ func TestArenaHintDoesNotMaskCorruption(t *testing.T) {
 	a := NewArena()
 	defer a.Release()
 
-	p := a.NewTCP(srcA, dstA, 40000, 80, 1, 0, FlagACK, []byte("payload-bytes"))
+	p := a.NewTCP(srcA, dstA, 0, 40000, 80, 1, 0, FlagACK, []byte("payload-bytes"))
 	p.TCP.Checksum ^= 0xbeef // corrupt after Finalize, like the techniques do
 	f := a.FrameOf(p)
 	if _, defects := f.Parse(); !defects.Has(DefectTCPChecksum) {
@@ -69,7 +69,7 @@ func TestArenaResetRecycles(t *testing.T) {
 
 	for round := 0; round < 3; round++ {
 		for i := 0; i < arenaFrameChunk+5; i++ { // force a second frame slab
-			p := a.NewTCP(srcA, dstA, 40000, uint16(80+i%7), uint32(i), 0, FlagACK, []byte("x"))
+			p := a.NewTCP(srcA, dstA, 0, 40000, uint16(80+i%7), uint32(i), 0, FlagACK, []byte("x"))
 			f := a.FrameOf(p)
 			if f.Len() != p.wireLen() {
 				t.Fatalf("round %d frame %d: len %d != %d", round, i, f.Len(), p.wireLen())
@@ -170,7 +170,7 @@ func TestArenaTCPAliasesPayload(t *testing.T) {
 	defer a.Release()
 
 	pay := []byte("aliased")
-	p := a.NewTCP(srcA, dstA, 1, 2, 0, 0, FlagACK, pay)
+	p := a.NewTCP(srcA, dstA, 0, 1, 2, 0, 0, FlagACK, pay)
 	if &p.Payload[0] != &pay[0] {
 		t.Fatal("arena NewTCP copied the payload; expected aliasing")
 	}

@@ -122,10 +122,15 @@ func (c *ckSum) finish() uint16 {
 // bytes in place — payload changes always rebind the Payload field to a
 // fresh slice (Clone, dummyBytes), which misses the identity check and
 // recomputes. That makes identity a sound cache key.
+//
+// stable marks a sum a summed builder seeded (Arena.NewTCPSummed): its
+// caller keeps the payload unmodified until the arena's next Reset, so
+// FrameOf may alias it. A recomputed sum is never stable.
 type paySumCache struct {
-	ptr *byte
-	n   int
-	val uint32
+	ptr    *byte
+	n      int
+	val    uint32
+	stable bool
 }
 
 // sumOf returns the unfolded partial sum of payload, cached.
@@ -142,6 +147,6 @@ func (pc *paySumCache) sumOf(payload []byte) uint32 {
 	if c.odd {
 		v += uint32(c.oddByte) << 8
 	}
-	pc.ptr, pc.n, pc.val = &payload[0], len(payload), v
+	*pc = paySumCache{ptr: &payload[0], n: len(payload), val: v}
 	return v
 }

@@ -22,9 +22,15 @@ package packet
 // Only Raw pays for the copy, once, for the readers that need the wire
 // bytes themselves. This is invisible to callers: Raw and Parse always
 // present the fully patched bytes.
+//
+// A frame may also hold its datagram in two parts: raw with only the IP
+// and transport headers, and pay aliasing an immutable payload (see
+// Arena.FrameOf). Raw joins them into one private copy on first use, the
+// way it applies pending TTL decrements; Parse and Len never need to.
 type Frame struct {
 	raw      []byte
-	ttlDelta uint8 // pending TTL decrements not yet applied to raw
+	pay      []byte // aliased payload following raw on the wire, or nil
+	ttlDelta uint8  // pending TTL decrements not yet applied to raw
 	pkt      *Packet
 	defects  DefectSet
 	// inherited marks pkt as the parse of the frame this one was derived
@@ -36,7 +42,7 @@ type Frame struct {
 	// the cached parse) draw from the same arena, so a frame's whole
 	// lifecycle shares its owner's reset boundary.
 	ar *Arena
-	// psVal/psN carry the sender's payload partial sum (Packet.paySumHint)
+	// psVal/psN carry the sender's payload partial sum (Packet.CachedPayloadSum)
 	// when the frame was serialized from a finalized packet; psN == 0 means
 	// no hint. Parse seeds its checksum verification from it.
 	psVal uint32
@@ -52,24 +58,25 @@ func NewFrame(raw []byte) *Frame { return &Frame{raw: raw} }
 // wire bytes in exactly the ways defect detection exists to notice.
 func FrameOf(p *Packet) *Frame { return &Frame{raw: p.Serialize()} }
 
-// materialize applies any pending TTL decrements to a private copy of the
-// bytes, with the checksum bit-identical to a chain of per-hop updates
+// materialize joins an aliased payload onto the headers and applies any
+// pending TTL decrements, in a private copy of the bytes, with the
+// checksum bit-identical to a chain of per-hop updates
 // (decrementedChecksum). The parse, if any, is left alone: it already
 // denotes the decremented bytes, or is inherited and patched by Parse.
 func (f *Frame) materialize() {
-	if f.ttlDelta == 0 {
+	if f.ttlDelta == 0 && f.pay == nil {
 		return
 	}
 	var out []byte
 	if f.ar != nil {
-		out = f.ar.Bytes(len(f.raw))
+		out = f.ar.Bytes(f.Len())
 	} else {
-		out = make([]byte, len(f.raw))
+		out = make([]byte, f.Len())
 	}
-	copy(out, f.raw)
+	copy(out[copy(out, f.raw):], f.pay)
 	ttl, hc := f.ttlAndChecksum()
 	out[8], out[10], out[11] = ttl, byte(hc>>8), byte(hc)
-	f.raw, f.ttlDelta = out, 0
+	f.raw, f.pay, f.ttlDelta = out, nil, 0
 }
 
 // Raw returns the wire bytes. Callers must treat them as read-only.
@@ -79,7 +86,7 @@ func (f *Frame) Raw() []byte {
 }
 
 // Len returns the wire length.
-func (f *Frame) Len() int { return len(f.raw) }
+func (f *Frame) Len() int { return len(f.raw) + len(f.pay) }
 
 // TTL returns the effective IP TTL byte without materializing pending
 // decrements. Only valid on frames of at least 20 bytes.
@@ -110,7 +117,10 @@ func (f *Frame) Parse() (*Packet, DefectSet) {
 		}
 		*q = *f.pkt
 	} else {
-		q, f.defects = inspect(f.ar, f.raw, true, f.psVal, f.psN)
+		if f.pay != nil && !splitOK(f.raw, f.pay) {
+			f.materialize()
+		}
+		q, f.defects = inspect(f.ar, f.raw, f.pay, true, f.psVal, f.psN)
 	}
 	if f.ttlDelta > 0 || f.inherited {
 		q.IP.TTL, q.IP.Checksum = f.ttlAndChecksum()
@@ -144,12 +154,41 @@ func (f *Frame) Parsed() bool { return f.pkt != nil }
 // datagram still parses at most once across any number of routers, and
 // only a downstream Raw copies the bytes.
 func (f *Frame) WithTTLDecrementedBy(n uint8) *Frame {
+	var nf *Frame
 	if f.ar != nil {
-		nf := f.ar.frame()
-		*nf = Frame{raw: f.raw, ttlDelta: f.ttlDelta + n, pkt: f.pkt, defects: f.defects, inherited: f.pkt != nil, ar: f.ar, psVal: f.psVal, psN: f.psN}
-		return nf
+		nf = f.ar.frame()
+	} else {
+		nf = new(Frame)
 	}
-	return &Frame{raw: f.raw, ttlDelta: f.ttlDelta + n, pkt: f.pkt, defects: f.defects, inherited: f.pkt != nil, psVal: f.psVal, psN: f.psN}
+	// Field stores into the zeroed slot: copying a whole Frame literal
+	// costs a temporary and a block copy on this per-hop path.
+	nf.raw, nf.pay, nf.ttlDelta = f.raw, f.pay, f.ttlDelta+n
+	nf.pkt, nf.defects, nf.inherited = f.pkt, f.defects, f.pkt != nil
+	nf.ar, nf.psVal, nf.psN = f.ar, f.psVal, f.psN
+	return nf
+}
+
+// splitOK reports whether the headers in hdr describe a datagram of
+// exactly hdr ++ pay with pay as its TCP or UDP payload: an unfragmented
+// datagram whose IP header length, transport header length and total
+// length all put the boundary where the split does. inspect parses a
+// two-part frame only under this precondition; any other frame (one whose
+// length fields a technique corrupted, say) is materialized first.
+func splitOK(hdr, pay []byte) bool {
+	if len(hdr) < 20 {
+		return false
+	}
+	ihl := int(hdr[0]&0x0f) * 4
+	if ihl < 20 || int(hdr[2])<<8|int(hdr[3]) != len(hdr)+len(pay) || hdr[6]&0x3f != 0 || hdr[7] != 0 {
+		return false
+	}
+	switch hdr[9] {
+	case ProtoTCP:
+		return len(hdr) >= ihl+20 && int(hdr[ihl+12]>>4)*4 == len(hdr)-ihl
+	case ProtoUDP:
+		return len(hdr) == ihl+8
+	}
+	return false
 }
 
 // decrementedChecksum returns the IP header checksum hc after n TTL

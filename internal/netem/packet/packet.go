@@ -138,20 +138,22 @@ func (p *Packet) FixIPChecksum() {
 	p.IP.Checksum = p.IP.computeChecksum()
 }
 
-// paySumHint exposes the packet's cached payload partial sum when it is
-// current — i.e. Finalize (or FixTransportChecksum) computed it for the
-// exact slice Payload still points at. Frames serialized from such a
+// CachedPayloadSum returns the payload's partial sum (see PayloadSum) when
+// the packet's checksum cache holds it for the exact slice Payload still
+// points at: after Finalize (or FixTransportChecksum), or on a parse
+// whose transport checksum was verified. Frames serialized from such a
 // packet carry the value so parse-side checksum verification can skip
-// re-summing the payload copy: the wire payload is a byte-for-byte copy
-// of the finalized payload, and both start 16-bit aligned in the
-// checksummed stream, so the partial sums are identical. A packet whose
-// Payload was rebound after Finalize (the documented way techniques
-// change payloads) yields no hint and verification runs in full.
-func (p *Packet) paySumHint() (val uint32, n int, ok bool) {
+// re-summing the payload: the wire payload is the finalized payload's
+// bytes, and both start 16-bit aligned in the checksummed stream, so the
+// partial sums are identical. A packet whose Payload was rebound after
+// Finalize (the documented way techniques change payloads) yields no
+// sum and verification runs in full. Parsed packets are shared
+// read-only, and reading the cache does not change it.
+func (p *Packet) CachedPayloadSum() (uint32, bool) {
 	if len(p.Payload) == 0 || p.paySum.ptr != &p.Payload[0] || p.paySum.n != len(p.Payload) {
-		return 0, 0, false
+		return 0, false
 	}
-	return p.paySum.val, p.paySum.n, true
+	return p.paySum.val, true
 }
 
 // wireLen returns the serialized size of the packet.
@@ -168,6 +170,14 @@ func (p *Packet) Serialize() []byte {
 // AppendSerialize appends the packet's wire bytes to b and returns the
 // extended slice, letting hot paths reuse pooled or stack buffers.
 func (p *Packet) AppendSerialize(b []byte) []byte {
+	b = p.appendHeaders(b)
+	b = append(b, p.Payload...)
+	b = append(b, p.TrailerPadding...)
+	return b
+}
+
+// appendHeaders appends the IP and transport headers' wire bytes to b.
+func (p *Packet) appendHeaders(b []byte) []byte {
 	b = p.IP.marshal(b)
 	switch {
 	case p.TCP != nil:
@@ -177,13 +187,11 @@ func (p *Packet) AppendSerialize(b []byte) []byte {
 	case p.ICMP != nil:
 		b = p.ICMP.marshal(b)
 	}
-	b = append(b, p.Payload...)
-	b = append(b, p.TrailerPadding...)
 	return b
 }
 
 // seedPaySum primes the parse's payload-sum cache from a sender-carried
-// hint (see paySumHint). The hint is taken only when the recovered
+// hint (see CachedPayloadSum). The hint is taken only when the recovered
 // payload length matches what the sender finalized — header mangling
 // that shifts the payload boundary changes the length and falls back to
 // a full verification sum.
@@ -210,13 +218,13 @@ type parseAlloc struct {
 // malformed packet they are willing to look at — that difference is the
 // point of this library. The returned packet owns copies of its variable-
 // length fields and is safe to mutate.
-func Inspect(raw []byte) (*Packet, DefectSet) { return inspect(nil, raw, false, 0, 0) }
+func Inspect(raw []byte) (*Packet, DefectSet) { return inspect(nil, raw, nil, false, 0, 0) }
 
 // InspectView parses like Inspect but zero-copy: the returned packet's
 // Payload, Options, and TrailerPadding alias raw. The result is read-only —
 // callers that want to mutate it must Clone first — and is only valid while
 // raw itself stays unmodified (which Frame guarantees by construction).
-func InspectView(raw []byte) (*Packet, DefectSet) { return inspect(nil, raw, true, 0, 0) }
+func InspectView(raw []byte) (*Packet, DefectSet) { return inspect(nil, raw, nil, true, 0, 0) }
 
 // view returns b in alias mode and a copy in copy mode; empty slices
 // normalize to nil in both modes so the two parses are interchangeable.
@@ -230,12 +238,15 @@ func view(alias bool, b []byte) []byte {
 	return append([]byte(nil), b...)
 }
 
-// inspect parses raw. hintVal/hintN, when hintN > 0, carry the payload
-// partial sum the sender's Finalize computed (see Packet.paySumHint);
-// the transport parsers seed the parse's paySum cache with it when the
-// recovered payload length matches, so verification of well-formed
-// stack-built traffic costs no per-byte work.
-func inspect(ar *Arena, raw []byte, alias bool, hintVal uint32, hintN int) (*Packet, DefectSet) {
+// inspect parses the datagram raw ++ pay. pay is nil for contiguous
+// bytes; otherwise raw holds exactly the IP and transport headers and pay
+// the transport payload, which the headers must describe (splitOK) — the
+// parse is then the one of the concatenation. hintVal/hintN, when
+// hintN > 0, carry the payload partial sum the sender's Finalize computed
+// (see Packet.CachedPayloadSum); the transport parsers seed the parse's paySum
+// cache with it when the recovered payload length matches, so
+// verification of well-formed stack-built traffic costs no per-byte work.
+func inspect(ar *Arena, raw, pay []byte, alias bool, hintVal uint32, hintN int) (*Packet, DefectSet) {
 	var defects DefectSet
 	var a *parseAlloc
 	if ar != nil {
@@ -285,12 +296,14 @@ func inspect(ar *Arena, raw []byte, alias bool, hintVal uint32, hintN int) (*Pac
 	if internetChecksum(0, raw[:hdrLen]) != 0 {
 		defects = defects.Add(DefectIPChecksum)
 	}
-	// Total length consistency.
+	// Total length consistency. A split datagram's headers describe its
+	// exact length, so it has no trailer and its body is raw's transport
+	// header followed by pay.
 	claimed := int(h.TotalLength)
 	switch {
-	case claimed > len(raw):
+	case claimed > len(raw)+len(pay):
 		defects = defects.Add(DefectIPTotalLengthLong)
-	case claimed < len(raw):
+	case claimed < len(raw)+len(pay):
 		defects = defects.Add(DefectIPTotalLengthShort)
 		p.TrailerPadding = view(alias, raw[claimed:])
 	}
@@ -308,9 +321,9 @@ func inspect(ar *Arena, raw []byte, alias bool, hintVal uint32, hintN int) (*Pac
 
 	switch h.Protocol {
 	case ProtoTCP:
-		defects |= p.parseTCP(a, body, alias, hintVal, hintN)
+		defects |= p.parseTCP(a, body, pay, alias, hintVal, hintN)
 	case ProtoUDP:
-		defects |= p.parseUDP(a, body, alias, hintVal, hintN)
+		defects |= p.parseUDP(a, body, pay, alias, hintVal, hintN)
 	case ProtoICMP:
 		defects |= p.parseICMP(a, body, alias, hintVal, hintN)
 	default:
@@ -320,7 +333,9 @@ func inspect(ar *Arena, raw []byte, alias bool, hintVal uint32, hintN int) (*Pac
 	return p, defects
 }
 
-func (p *Packet) parseTCP(a *parseAlloc, body []byte, alias bool, hintVal uint32, hintN int) DefectSet {
+// parseTCP and parseUDP parse the transport segment body ++ pay, where a
+// non-nil pay is exactly the payload (see inspect).
+func (p *Packet) parseTCP(a *parseAlloc, body, pay []byte, alias bool, hintVal uint32, hintN int) DefectSet {
 	var defects DefectSet
 	if len(body) < 20 {
 		p.Payload = view(alias, body)
@@ -346,7 +361,7 @@ func (p *Packet) parseTCP(a *parseAlloc, body []byte, alias bool, hintVal uint32
 	if off > 20 {
 		t.Options = view(alias, body[20:off])
 	}
-	p.Payload = view(alias, body[off:])
+	p.Payload = view(alias, payloadOf(body[off:], pay))
 	p.seedPaySum(hintVal, hintN)
 
 	// Checksums cannot be verified on a first fragment: the rest of the
@@ -363,7 +378,7 @@ func (p *Packet) parseTCP(a *parseAlloc, body []byte, alias bool, hintVal uint32
 	return defects
 }
 
-func (p *Packet) parseUDP(a *parseAlloc, body []byte, alias bool, hintVal uint32, hintN int) DefectSet {
+func (p *Packet) parseUDP(a *parseAlloc, body, pay []byte, alias bool, hintVal uint32, hintN int) DefectSet {
 	var defects DefectSet
 	if len(body) < 8 {
 		p.Payload = view(alias, body)
@@ -375,17 +390,17 @@ func (p *Packet) parseUDP(a *parseAlloc, body []byte, alias bool, hintVal uint32
 	u.Length = binary.BigEndian.Uint16(body[4:6])
 	u.Checksum = binary.BigEndian.Uint16(body[6:8])
 	p.UDP = u
-	p.Payload = view(alias, body[8:])
+	p.Payload = view(alias, payloadOf(body[8:], pay))
 	p.seedPaySum(hintVal, hintN)
 	if p.IP.MoreFragments() {
 		// Length and checksum describe the full datagram; they cannot be
 		// judged from a first fragment alone.
 		return defects
 	}
-	switch {
-	case int(u.Length) > len(body):
+	switch n := len(body) + len(pay); {
+	case int(u.Length) > n:
 		defects = defects.Add(DefectUDPLengthLong)
-	case int(u.Length) < len(body):
+	case int(u.Length) < n:
 		defects = defects.Add(DefectUDPLengthShort)
 	}
 	if u.Checksum != 0 {
@@ -395,6 +410,15 @@ func (p *Packet) parseUDP(a *parseAlloc, body []byte, alias bool, hintVal uint32
 		}
 	}
 	return defects
+}
+
+// payloadOf returns a split segment's payload pay, or the contiguous
+// segment's rest.
+func payloadOf(rest, pay []byte) []byte {
+	if pay != nil {
+		return pay
+	}
+	return rest
 }
 
 func (p *Packet) parseICMP(a *parseAlloc, body []byte, alias bool, hintVal uint32, hintN int) DefectSet {

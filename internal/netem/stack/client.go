@@ -196,9 +196,7 @@ func (c *TCPClient) RcvNxt() uint32 { return c.rcvNxt }
 
 // Connect sends the SYN.
 func (c *TCPClient) Connect() {
-	syn := c.host.arena.NewTCP(c.host.Addr, c.Dst, c.SrcPort, c.DstPort, c.iss, 0, packet.FlagSYN, nil)
-	syn.IP.ID = c.host.nextIPID()
-	syn.Finalize()
+	syn := c.host.arena.NewTCP(c.host.Addr, c.Dst, c.host.nextIPID(), c.SrcPort, c.DstPort, c.iss, 0, packet.FlagSYN, nil)
 	c.sndNxt = c.iss + 1
 	c.host.SendFrame(c.host.arena.FrameOf(syn))
 }
@@ -225,9 +223,7 @@ func (c *TCPClient) deliver(p *packet.Packet, defects packet.DefectSet) {
 	if t.Flags.Has(packet.FlagSYN) && t.Flags.Has(packet.FlagACK) && !c.established {
 		c.rcvNxt = t.Seq + 1
 		c.established = true
-		ack := c.host.arena.NewTCP(c.host.Addr, c.Dst, c.SrcPort, c.DstPort, c.sndNxt, c.rcvNxt, packet.FlagACK, nil)
-		ack.IP.ID = c.host.nextIPID()
-		ack.Finalize()
+		ack := c.host.arena.NewTCP(c.host.Addr, c.Dst, c.host.nextIPID(), c.SrcPort, c.DstPort, c.sndNxt, c.rcvNxt, packet.FlagACK, nil)
 		c.host.SendFrame(c.host.arena.FrameOf(ack))
 		if c.OnConnected != nil {
 			c.OnConnected()
@@ -281,9 +277,7 @@ func (c *TCPClient) deliverData(data []byte) {
 }
 
 func (c *TCPClient) sendACK() {
-	ack := c.host.arena.NewTCP(c.host.Addr, c.Dst, c.SrcPort, c.DstPort, c.sndNxt, c.rcvNxt, packet.FlagACK, nil)
-	ack.IP.ID = c.host.nextIPID()
-	ack.Finalize()
+	ack := c.host.arena.NewTCP(c.host.Addr, c.Dst, c.host.nextIPID(), c.SrcPort, c.DstPort, c.sndNxt, c.rcvNxt, packet.FlagACK, nil)
 	c.host.SendFrame(c.host.arena.FrameOf(ack))
 }
 
@@ -306,6 +300,9 @@ func (c *TCPClient) Send(data []byte) { c.SendSummed(data, nil) }
 
 // SendSummed is Send with optional precomputed per-MSS payload partial
 // sums (trace.Message.CheckedSegSums); segSums[k] covers data[k*MSS:...].
+// Segments with sums go on the wire aliasing data (Arena.FrameOf), so
+// data must stay unmodified until the path's arena resets, as trace
+// payloads do.
 func (c *TCPClient) SendSummed(data []byte, segSums []uint32) {
 	var pkts []*packet.Packet
 	seq := c.sndNxt
@@ -314,14 +311,13 @@ func (c *TCPClient) SendSummed(data []byte, segSums []uint32) {
 		if end > len(data) {
 			end = len(data)
 		}
+		id := c.host.nextIPID()
 		var seg *packet.Packet
 		if k := off / MSS; k < len(segSums) {
-			seg = c.host.arena.NewTCPSummed(c.host.Addr, c.Dst, c.SrcPort, c.DstPort, seq, c.rcvNxt, packet.FlagACK|packet.FlagPSH, data[off:end], segSums[k])
+			seg = c.host.arena.NewTCPSummed(c.host.Addr, c.Dst, id, c.SrcPort, c.DstPort, seq, c.rcvNxt, packet.FlagACK|packet.FlagPSH, data[off:end], segSums[k])
 		} else {
-			seg = c.host.arena.NewTCP(c.host.Addr, c.Dst, c.SrcPort, c.DstPort, seq, c.rcvNxt, packet.FlagACK|packet.FlagPSH, data[off:end])
+			seg = c.host.arena.NewTCP(c.host.Addr, c.Dst, id, c.SrcPort, c.DstPort, seq, c.rcvNxt, packet.FlagACK|packet.FlagPSH, data[off:end])
 		}
-		seg.IP.ID = c.host.nextIPID()
-		seg.Finalize()
 		seq += uint32(end - off)
 		pkts = append(pkts, seg)
 	}
@@ -398,9 +394,7 @@ func (c *TCPClient) emit(sched []Scheduled) {
 // CloseFIN sends a FIN at the current sequence position after the last
 // scheduled emission has drained.
 func (c *TCPClient) CloseFIN() {
-	fin := c.host.arena.NewTCP(c.host.Addr, c.Dst, c.SrcPort, c.DstPort, c.sndNxt, c.rcvNxt, packet.FlagACK|packet.FlagFIN, nil)
-	fin.IP.ID = c.host.nextIPID()
-	fin.Finalize()
+	fin := c.host.arena.NewTCP(c.host.Addr, c.Dst, c.host.nextIPID(), c.SrcPort, c.DstPort, c.sndNxt, c.rcvNxt, packet.FlagACK|packet.FlagFIN, nil)
 	c.sndNxt++
 	fr := c.host.arena.FrameOf(fin)
 	at := c.host.Clock.Now()
@@ -465,14 +459,13 @@ func (c *UDPClient) SendSummed(data []byte, segSums []uint32) {
 		if end > len(data) {
 			end = len(data)
 		}
+		id := c.host.nextIPID()
 		var p *packet.Packet
 		if k := off / MSS; k < len(segSums) {
-			p = c.host.arena.NewUDPSummed(c.host.Addr, c.Dst, c.SrcPort, c.DstPort, data[off:end], segSums[k])
+			p = c.host.arena.NewUDPSummed(c.host.Addr, c.Dst, id, c.SrcPort, c.DstPort, data[off:end], segSums[k])
 		} else {
-			p = c.host.arena.NewUDP(c.host.Addr, c.Dst, c.SrcPort, c.DstPort, data[off:end])
+			p = c.host.arena.NewUDP(c.host.Addr, c.Dst, id, c.SrcPort, c.DstPort, data[off:end])
 		}
-		p.IP.ID = c.host.nextIPID()
-		p.Finalize()
 		pkts = append(pkts, p)
 		if len(data) == 0 {
 			break

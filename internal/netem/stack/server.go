@@ -136,9 +136,7 @@ func (s *Server) nextIPID() uint16 {
 }
 
 func (s *Server) sendRST(p *packet.Packet) {
-	rst := s.arena.NewTCP(s.Addr, p.IP.Src, p.TCP.DstPort, p.TCP.SrcPort, p.TCP.Ack, p.TCP.Seq, packet.FlagRST|packet.FlagACK, nil)
-	rst.IP.ID = s.nextIPID()
-	rst.Finalize()
+	rst := s.arena.NewTCP(s.Addr, p.IP.Src, s.nextIPID(), p.TCP.DstPort, p.TCP.SrcPort, p.TCP.Ack, p.TCP.Seq, packet.FlagRST|packet.FlagACK, nil)
 	s.Env.FromServerFrame(s.arena.FrameOf(rst))
 }
 
@@ -160,9 +158,7 @@ func (s *Server) handleTCP(p *packet.Packet, defects packet.DefectSet) {
 			ooo: make(map[uint32][]byte),
 		}
 		s.conns[key] = conn
-		synack := s.arena.NewTCP(s.Addr, conn.Src, conn.DstPort, conn.SrcPort, conn.sndNxt, conn.rcvNxt, packet.FlagSYN|packet.FlagACK, nil)
-		synack.IP.ID = s.nextIPID()
-		synack.Finalize()
+		synack := s.arena.NewTCP(s.Addr, conn.Src, s.nextIPID(), conn.DstPort, conn.SrcPort, conn.sndNxt, conn.rcvNxt, packet.FlagSYN|packet.FlagACK, nil)
 		conn.sndNxt++
 		s.Env.FromServerFrame(s.arena.FrameOf(synack))
 		return
@@ -222,20 +218,22 @@ func (s *Server) SendDatagram(dst packet.Addr, srcPort, dstPort uint16, data []b
 // SendDatagramSummed is SendDatagram with optional precomputed per-MSS
 // payload partial sums (trace.Message.CheckedSegSums); segSums[k] covers
 // data[k*MSS:...]. A nil or short segSums falls back to summing.
+// Segments with sums go on the wire aliasing data (Arena.FrameOf), so
+// data must stay unmodified until the path's arena resets, as trace
+// payloads do.
 func (s *Server) SendDatagramSummed(dst packet.Addr, srcPort, dstPort uint16, data []byte, segSums []uint32) {
 	for off := 0; off < len(data) || off == 0; off += MSS {
 		end := off + MSS
 		if end > len(data) {
 			end = len(data)
 		}
+		id := s.nextIPID()
 		var p *packet.Packet
 		if k := off / MSS; k < len(segSums) {
-			p = s.arena.NewUDPSummed(s.Addr, dst, srcPort, dstPort, data[off:end], segSums[k])
+			p = s.arena.NewUDPSummed(s.Addr, dst, id, srcPort, dstPort, data[off:end], segSums[k])
 		} else {
-			p = s.arena.NewUDP(s.Addr, dst, srcPort, dstPort, data[off:end])
+			p = s.arena.NewUDP(s.Addr, dst, id, srcPort, dstPort, data[off:end])
 		}
-		p.IP.ID = s.nextIPID()
-		p.Finalize()
 		s.Env.FromServerFrame(s.arena.FrameOf(p))
 		if len(data) == 0 {
 			break
@@ -339,9 +337,7 @@ func (c *ServerConn) deliver(data []byte) {
 }
 
 func (c *ServerConn) sendACK() {
-	ack := c.srv.arena.NewTCP(c.srv.Addr, c.Src, c.DstPort, c.SrcPort, c.sndNxt, c.rcvNxt, packet.FlagACK, nil)
-	ack.IP.ID = c.srv.nextIPID()
-	ack.Finalize()
+	ack := c.srv.arena.NewTCP(c.srv.Addr, c.Src, c.srv.nextIPID(), c.DstPort, c.SrcPort, c.sndNxt, c.rcvNxt, packet.FlagACK, nil)
 	c.srv.Env.FromServerFrame(c.srv.arena.FrameOf(ack))
 }
 
@@ -351,6 +347,9 @@ func (c *ServerConn) Send(data []byte) { c.SendSummed(data, nil) }
 
 // SendSummed is Send with optional precomputed per-MSS payload partial
 // sums (trace.Message.CheckedSegSums); segSums[k] covers data[k*MSS:...].
+// Segments with sums go on the wire aliasing data (Arena.FrameOf), so
+// data must stay unmodified until the path's arena resets, as trace
+// payloads do.
 func (c *ServerConn) SendSummed(data []byte, segSums []uint32) {
 	var pkts []*packet.Packet
 	seq := c.sndNxt
@@ -359,14 +358,13 @@ func (c *ServerConn) SendSummed(data []byte, segSums []uint32) {
 		if end > len(data) {
 			end = len(data)
 		}
+		id := c.srv.nextIPID()
 		var seg *packet.Packet
 		if k := off / MSS; k < len(segSums) {
-			seg = c.srv.arena.NewTCPSummed(c.srv.Addr, c.Src, c.DstPort, c.SrcPort, seq, c.rcvNxt, packet.FlagACK|packet.FlagPSH, data[off:end], segSums[k])
+			seg = c.srv.arena.NewTCPSummed(c.srv.Addr, c.Src, id, c.DstPort, c.SrcPort, seq, c.rcvNxt, packet.FlagACK|packet.FlagPSH, data[off:end], segSums[k])
 		} else {
-			seg = c.srv.arena.NewTCP(c.srv.Addr, c.Src, c.DstPort, c.SrcPort, seq, c.rcvNxt, packet.FlagACK|packet.FlagPSH, data[off:end])
+			seg = c.srv.arena.NewTCP(c.srv.Addr, c.Src, id, c.DstPort, c.SrcPort, seq, c.rcvNxt, packet.FlagACK|packet.FlagPSH, data[off:end])
 		}
-		seg.IP.ID = c.srv.nextIPID()
-		seg.Finalize()
 		seq += uint32(end - off)
 		pkts = append(pkts, seg)
 	}
@@ -449,9 +447,7 @@ func (c *ServerConn) armRetransmit(fr *packet.Frame, seqEnd uint32, tries int) {
 
 // Close sends a FIN.
 func (c *ServerConn) Close() {
-	fin := c.srv.arena.NewTCP(c.srv.Addr, c.Src, c.DstPort, c.SrcPort, c.sndNxt, c.rcvNxt, packet.FlagACK|packet.FlagFIN, nil)
-	fin.IP.ID = c.srv.nextIPID()
-	fin.Finalize()
+	fin := c.srv.arena.NewTCP(c.srv.Addr, c.Src, c.srv.nextIPID(), c.DstPort, c.SrcPort, c.sndNxt, c.rcvNxt, packet.FlagACK|packet.FlagFIN, nil)
 	c.sndNxt++
 	c.srv.Env.FromServerFrame(c.srv.arena.FrameOf(fin))
 	c.close("local-fin")

@@ -91,16 +91,37 @@ func TraceNames() []string {
 	return out
 }
 
+// LookupNetwork returns the named profile's entry without building it,
+// with the error NewNetwork gives for an unknown name.
+func LookupNetwork(name string) (NetworkEntry, error) {
+	for _, n := range networks {
+		if n.Name == name {
+			return n, nil
+		}
+	}
+	return NetworkEntry{}, fmt.Errorf("registry: unknown network profile %q (have %v)", name, NetworkNames())
+}
+
+// LookupTrace returns the named trace's entry without building it, with
+// the error NewTrace gives for an unknown name.
+func LookupTrace(name string) (TraceEntry, error) {
+	for _, t := range traces {
+		if t.Name == name {
+			return t, nil
+		}
+	}
+	return TraceEntry{}, fmt.Errorf("registry: unknown trace %q (have %v)", name, TraceNames())
+}
+
 // NewNetwork builds a fresh instance of the named profile. Every call
 // returns an independent network with its own virtual clock, so instances
 // are safe to use concurrently with each other.
 func NewNetwork(name string) (*dpi.Network, error) {
-	for _, n := range networks {
-		if n.Name == name {
-			return n.New(), nil
-		}
+	n, err := LookupNetwork(name)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("registry: unknown network profile %q (have %v)", name, NetworkNames())
+	return n.New(), nil
 }
 
 // NewTrace returns the named built-in trace at the given nominal body
@@ -109,15 +130,14 @@ func NewNetwork(name string) (*dpi.Network, error) {
 // (trace.Named), so the probes derived from it are shared as well. The
 // trace is shared and must be treated as immutable.
 func NewTrace(name string, body int) (*trace.Trace, error) {
+	t, err := LookupTrace(name)
+	if err != nil {
+		return nil, err
+	}
 	if body <= 0 {
 		body = DefaultBody
 	}
-	for _, t := range traces {
-		if t.Name == name {
-			return trace.Named(name, body, func() *trace.Trace { return t.New(body) }), nil
-		}
-	}
-	return nil, fmt.Errorf("registry: unknown trace %q (have %v)", name, TraceNames())
+	return trace.Named(name, body, func() *trace.Trace { return t.New(body) }), nil
 }
 
 // ResolveTrace builds a built-in trace by name, falling back to loading

@@ -322,40 +322,40 @@ func Run(opts Options) (*Result, error) {
 	}
 	start := clock.Now()
 
-	// Throughput sampling of s2c application bytes.
-	var lastDataAt time.Time
-	var firstDataAt time.Time
+	// Throughput sampling of s2c application bytes, in virtual ns since
+	// the vclock epoch; noTime marks an instant not seen yet (the clock
+	// never reads below zero).
+	const noTime = -1
+	lastDataAt, firstDataAt, windowStart := int64(noTime), int64(noTime), int64(noTime)
 	var s2cBytes int
-	var windowStart time.Time
 	var windowBytes int
 	var peak float64
-	var lastWriteAt time.Time
-	var tailFirst, tailLast time.Time
+	lastWriteAt, tailFirst, tailLast := int64(noTime), int64(noTime), int64(noTime)
 	var tailBytes int
 	markWrite := func() {
 		// A new write restarts the tail window: "tail" means s2c data
 		// after the *final* client write.
-		lastWriteAt = clock.Now()
-		tailFirst, tailLast = time.Time{}, time.Time{}
+		lastWriteAt = clock.NowNS()
+		tailFirst, tailLast = noTime, noTime
 		tailBytes = 0
 	}
 	onData := func(n int) {
-		now := clock.Now()
-		if firstDataAt.IsZero() {
+		now := clock.NowNS()
+		if firstDataAt == noTime {
 			firstDataAt = now
 			windowStart = now
 		}
 		lastDataAt = now
 		s2cBytes += n
 		windowBytes += n
-		if !lastWriteAt.IsZero() && now.After(lastWriteAt) {
-			if tailFirst.IsZero() {
+		if lastWriteAt != noTime && now > lastWriteAt {
+			if tailFirst == noTime {
 				tailFirst = now
 			}
 			tailLast = now
 			tailBytes += n
 		}
-		if w := now.Sub(windowStart); w >= 200*time.Millisecond {
+		if w := time.Duration(now - windowStart); w >= 200*time.Millisecond {
 			rate := float64(windowBytes*8) / w.Seconds()
 			if rate > peak {
 				peak = rate
@@ -384,17 +384,17 @@ func Run(opts Options) (*Result, error) {
 		res.CounterDelta = net.Counter.Read() - counterBefore
 	}
 	res.GroundTruthClass = net.GroundTruthClass(res.FlowKey)
-	if s2cBytes > 0 && lastDataAt.After(firstDataAt) {
-		res.AvgThroughputBps = float64(s2cBytes*8) / lastDataAt.Sub(firstDataAt).Seconds()
+	if s2cBytes > 0 && lastDataAt > firstDataAt {
+		res.AvgThroughputBps = float64(s2cBytes*8) / time.Duration(lastDataAt-firstDataAt).Seconds()
 	}
-	if w := clock.Now().Sub(windowStart); windowBytes > 0 && w > 0 {
+	if w := time.Duration(clock.NowNS() - windowStart); windowBytes > 0 && w > 0 {
 		if rate := float64(windowBytes*8) / w.Seconds(); rate > peak {
 			peak = rate
 		}
 	}
 	res.PeakThroughputBps = peak
-	if tailBytes > 0 && tailLast.After(tailFirst) {
-		res.TailThroughputBps = float64(tailBytes*8) / tailLast.Sub(tailFirst).Seconds()
+	if tailBytes > 0 && tailLast > tailFirst {
+		res.TailThroughputBps = float64(tailBytes*8) / time.Duration(tailLast-tailFirst).Seconds()
 	}
 	return res, nil
 }
