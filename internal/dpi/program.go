@@ -34,9 +34,7 @@ type ruleProgram struct {
 	// ruleMask[i] is the bit-mask of rule i's distinct non-empty keyword
 	// patterns; hits&ruleMask[i] == ruleMask[i] ⇔ Rules[i].MatchBytes.
 	ruleMask []uint64
-	// ruleFamBit[i] caches famBit(Rules[i].Family).
-	ruleFamBit []uint8
-	allMask    uint64
+	allMask  uint64
 }
 
 // maxProgramPatterns bounds the distinct patterns a program can track.
@@ -51,12 +49,8 @@ func compileRules(rules []Rule) *ruleProgram {
 	// Assign one bit per distinct non-empty pattern.
 	bit := make(map[string]uint64)
 	var patterns [][]byte
-	pg := &ruleProgram{
-		ruleMask:   make([]uint64, len(rules)),
-		ruleFamBit: make([]uint8, len(rules)),
-	}
+	pg := &ruleProgram{ruleMask: make([]uint64, len(rules))}
 	for i := range rules {
-		pg.ruleFamBit[i] = famBit(rules[i].Family)
 		for _, kw := range rules[i].Keywords {
 			if len(kw) == 0 {
 				continue // empty pattern matches everything; contributes no bit

@@ -32,22 +32,14 @@ type Arena struct {
 	pi, pn int
 	bufs   [][]byte
 	bi, bn int // slab index, byte offset within it
-	// bigs recycles allocations larger than a chunk (reassembled streams,
-	// whole-trace buffers): each slot is dedicated to one allocation per
-	// reset cycle, first fit by capacity.
-	bigs []bigBuf
-}
-
-type bigBuf struct {
-	b    []byte
-	used bool
 }
 
 const (
 	arenaFrameChunk = 512
 	arenaParseChunk = 128
-	// arenaByteChunk comfortably fits a run of MTU-sized wire buffers;
-	// requests larger than a chunk fall through to the heap.
+	// arenaByteChunk fits any one IPv4 datagram, the largest request the
+	// packet path makes (wire bytes, a proxy chunk); anything larger is
+	// not the arena's to recycle and goes to the heap.
 	arenaByteChunk = 1 << 16
 )
 
@@ -106,9 +98,6 @@ func (a *Arena) Reset() {
 	a.fi, a.fn = 0, 0
 	a.pi, a.pn = 0, 0
 	a.bi, a.bn = 0, 0
-	for i := range a.bigs {
-		a.bigs[i].used = false
-	}
 }
 
 // clearUsed zeroes the slots handed out since the last Reset: every slab
@@ -158,7 +147,7 @@ func (a *Arena) parse() *parseAlloc {
 // re-slicing are undefined (recycled slabs are not cleared).
 func (a *Arena) buf(n int) []byte {
 	if n > arenaByteChunk {
-		return a.big(n)
+		return make([]byte, 0, n)
 	}
 	if a.bi == len(a.bufs) {
 		a.bufs = append(a.bufs, make([]byte, arenaByteChunk))
@@ -176,31 +165,10 @@ func (a *Arena) buf(n int) []byte {
 	return b
 }
 
-// big hands out a dedicated recycled buffer for oversized allocations.
-func (a *Arena) big(n int) []byte {
-	for i := range a.bigs {
-		if !a.bigs[i].used && cap(a.bigs[i].b) >= n {
-			a.bigs[i].used = true
-			return a.bigs[i].b[:0]
-		}
-	}
-	b := make([]byte, 0, n)
-	a.bigs = append(a.bigs, bigBuf{b: b, used: true})
-	return b
-}
-
 // Bytes returns an n-byte buffer with undefined contents; the caller must
 // overwrite all of it. cap == len, so appending grows a private copy.
 func (a *Arena) Bytes(n int) []byte {
 	return a.buf(n)[:n]
-}
-
-// Buffer returns an empty buffer with at least the given capacity, for
-// callers that accumulate with append (stream reassembly, expected-byte
-// concatenation). Like every arena allocation it is only valid until the
-// next Reset.
-func (a *Arena) Buffer(capacity int) []byte {
-	return a.buf(capacity)
 }
 
 // NewFrame wraps raw in an arena-owned frame. Like packet.NewFrame, the

@@ -85,7 +85,7 @@ func TestArenaResetRecycles(t *testing.T) {
 	}
 }
 
-// TestArenaBytesIsolation checks that Bytes/Buffer hand out non-overlapping
+// TestArenaBytesIsolation checks that Bytes hands out non-overlapping
 // capped slices: appending past a buffer's capacity must not clobber its
 // neighbour.
 func TestArenaBytesIsolation(t *testing.T) {
@@ -108,35 +108,6 @@ func TestArenaBytesIsolation(t *testing.T) {
 	}
 	if &grown[0] == &b1[0] {
 		t.Fatal("append past cap reused the arena slab")
-	}
-
-	buf := a.Buffer(16)
-	if len(buf) != 0 || cap(buf) < 16 {
-		t.Fatalf("Buffer: len=%d cap=%d", len(buf), cap(buf))
-	}
-}
-
-// TestArenaBigRecycled checks that oversized allocations are recycled
-// across Reset cycles instead of hitting the heap each time.
-func TestArenaBigRecycled(t *testing.T) {
-	a := NewArena()
-	defer a.Release()
-
-	n := arenaByteChunk + 1
-	b1 := a.Buffer(n)
-	if cap(b1) < n {
-		t.Fatalf("big buffer cap %d < %d", cap(b1), n)
-	}
-	a.Reset()
-	b2 := a.Buffer(n)
-	if &b1[:1][0] != &b2[:1][0] {
-		t.Fatal("big buffer not recycled after Reset")
-	}
-	// While one big buffer is checked out, a second request must get
-	// dedicated storage.
-	b3 := a.Buffer(n)
-	if &b2[:1][0] == &b3[:1][0] {
-		t.Fatal("two live big buffers share storage")
 	}
 }
 

@@ -18,7 +18,7 @@ type ClientHost struct {
 
 	flows map[packet.FlowKey]flowSink
 	arena *packet.Arena
-	ipid  uint16
+	ids   ipIDs
 	// ICMP receives ICMP messages addressed to the host (time-exceeded
 	// from TTL probes, protocol-unreachable from inert packets).
 	ICMP func(p *packet.Packet)
@@ -76,11 +76,6 @@ func (h *ClientHost) Deliver(f *packet.Frame) {
 	}
 }
 
-func (h *ClientHost) nextIPID() uint16 {
-	h.ipid++
-	return h.ipid
-}
-
 // TCPClient is one client-side TCP connection. Outgoing application writes
 // pass through Transform, which is where lib·erate installs evasion
 // techniques.
@@ -91,11 +86,11 @@ type TCPClient struct {
 
 	Transform OutgoingTransform
 
-	iss, sndNxt, rcvNxt uint32
-	established         bool
-	closed              bool
-	closeReason         string
-	ooo                 map[uint32][]byte
+	iss, sndNxt uint32
+	rx          inOrder
+	established bool
+	closed      bool
+	closeReason string
 
 	writeIndex      int
 	dataPacketsSent int
@@ -110,8 +105,6 @@ type TCPClient struct {
 	// OnClosed fires once when the connection dies ("rst", "fin").
 	OnClosed func(reason string)
 
-	// Received accumulates the in-order byte stream from the server.
-	Received []byte
 	// AckedByServer tracks the highest cumulative ACK seen from the server,
 	// which tells the replayer how much of its stream the server accepted.
 	AckedByServer uint32
@@ -125,8 +118,6 @@ type TCPClient struct {
 	// one RTT ≪ RTO, so retransmission never fires unless packets are
 	// actually lost.
 	RTO time.Duration
-	// MaxRetries bounds retransmissions per segment.
-	MaxRetries int
 	// Retransmissions counts segments re-sent.
 	Retransmissions int
 }
@@ -134,16 +125,15 @@ type TCPClient struct {
 // DefaultRTO is the client stacks' retransmission timeout.
 const DefaultRTO = 250 * time.Millisecond
 
+// maxRetries bounds retransmissions per segment on both endpoints.
+const maxRetries = 3
+
 // armRetransmit schedules a retransmission check for a data segment whose
 // payload ends at seqEnd. Retransmission re-forwards the same immutable
-// frame.
+// frame. The check after the last retry still fires, and does nothing.
 func (c *TCPClient) armRetransmit(fr *packet.Frame, seqEnd uint32, tries int) {
 	if c.RTO <= 0 {
 		return
-	}
-	max := c.MaxRetries
-	if max <= 0 {
-		max = 3
 	}
 	c.host.Clock.Schedule(c.RTO, func() {
 		if c.closed {
@@ -152,7 +142,7 @@ func (c *TCPClient) armRetransmit(fr *packet.Frame, seqEnd uint32, tries int) {
 		if c.AckedByServer-seqEnd < 1<<31 {
 			return // acknowledged
 		}
-		if tries >= max {
+		if tries >= maxRetries {
 			return
 		}
 		c.Retransmissions++
@@ -170,7 +160,6 @@ func NewTCPClient(h *ClientHost, dst packet.Addr, srcPort, dstPort uint16) *TCPC
 		host: h, Dst: dst, SrcPort: srcPort, DstPort: dstPort,
 		iss: clientISS, sndNxt: clientISS,
 		Transform: Passthrough(),
-		ooo:       make(map[uint32][]byte),
 		sendReady: h.Clock.Now(),
 	}
 	h.flows[c.flowKey()] = c
@@ -192,11 +181,11 @@ func (c *TCPClient) Closed() (bool, string) { return c.closed, c.closeReason }
 func (c *TCPClient) SndNxt() uint32 { return c.sndNxt }
 
 // RcvNxt exposes the next expected incoming sequence number.
-func (c *TCPClient) RcvNxt() uint32 { return c.rcvNxt }
+func (c *TCPClient) RcvNxt() uint32 { return c.rx.next }
 
 // Connect sends the SYN.
 func (c *TCPClient) Connect() {
-	syn := c.host.arena.NewTCP(c.host.Addr, c.Dst, c.host.nextIPID(), c.SrcPort, c.DstPort, c.iss, 0, packet.FlagSYN, nil)
+	syn := c.host.arena.NewTCP(c.host.Addr, c.Dst, c.host.ids.next(), c.SrcPort, c.DstPort, c.iss, 0, packet.FlagSYN, nil)
 	c.sndNxt = c.iss + 1
 	c.host.SendFrame(c.host.arena.FrameOf(syn))
 }
@@ -215,15 +204,15 @@ func (c *TCPClient) deliver(p *packet.Packet, defects packet.DefectSet) {
 	t := p.TCP
 	if t.Flags.Has(packet.FlagRST) {
 		c.RSTsSeen++
-		if inWindow(t.Seq, c.rcvNxt, 65535) || !c.established {
+		if inWindow(t.Seq, c.rx.next, rcvWindow) || !c.established {
 			c.closeWith("rst")
 		}
 		return
 	}
 	if t.Flags.Has(packet.FlagSYN) && t.Flags.Has(packet.FlagACK) && !c.established {
-		c.rcvNxt = t.Seq + 1
+		c.rx.next = t.Seq + 1
 		c.established = true
-		ack := c.host.arena.NewTCP(c.host.Addr, c.Dst, c.host.nextIPID(), c.SrcPort, c.DstPort, c.sndNxt, c.rcvNxt, packet.FlagACK, nil)
+		ack := c.host.arena.NewTCP(c.host.Addr, c.Dst, c.host.ids.next(), c.SrcPort, c.DstPort, c.sndNxt, c.rx.next, packet.FlagACK, nil)
 		c.host.SendFrame(c.host.arena.FrameOf(ack))
 		if c.OnConnected != nil {
 			c.OnConnected()
@@ -235,49 +224,26 @@ func (c *TCPClient) deliver(p *packet.Packet, defects packet.DefectSet) {
 			c.AckedByServer = t.Ack
 		}
 	}
+	// Data gets its own ACK, and a FIN then a second one.
 	if len(p.Payload) > 0 {
-		c.receiveData(t.Seq, p.Payload)
+		c.rx.receive(t.Seq, p.Payload, c.deliverData)
+		c.sendACK()
 	}
-	if t.Flags.Has(packet.FlagFIN) && t.Seq+uint32(len(p.Payload)) == c.rcvNxt {
-		c.rcvNxt++
+	if t.Flags.Has(packet.FlagFIN) && t.Seq+uint32(len(p.Payload)) == c.rx.next {
+		c.rx.next++
 		c.sendACK()
 		c.closeWith("fin")
 	}
 }
 
-func (c *TCPClient) receiveData(seq uint32, payload []byte) {
-	const win = 65535
-	switch {
-	case seq == c.rcvNxt:
-		c.deliverData(payload)
-	case inWindow(seq, c.rcvNxt, win):
-		if _, dup := c.ooo[seq]; !dup {
-			c.ooo[seq] = append([]byte(nil), payload...)
-		}
-	case inWindow(seq+uint32(len(payload)), c.rcvNxt, win) && seq+uint32(len(payload)) != c.rcvNxt:
-		c.deliverData(payload[c.rcvNxt-seq:])
-	}
-	for {
-		next, ok := c.ooo[c.rcvNxt]
-		if !ok {
-			break
-		}
-		delete(c.ooo, c.rcvNxt)
-		c.deliverData(next)
-	}
-	c.sendACK()
-}
-
 func (c *TCPClient) deliverData(data []byte) {
-	c.rcvNxt += uint32(len(data))
-	c.Received = append(c.Received, data...)
 	if c.OnData != nil {
 		c.OnData(data)
 	}
 }
 
 func (c *TCPClient) sendACK() {
-	ack := c.host.arena.NewTCP(c.host.Addr, c.Dst, c.host.nextIPID(), c.SrcPort, c.DstPort, c.sndNxt, c.rcvNxt, packet.FlagACK, nil)
+	ack := c.host.arena.NewTCP(c.host.Addr, c.Dst, c.host.ids.next(), c.SrcPort, c.DstPort, c.sndNxt, c.rx.next, packet.FlagACK, nil)
 	c.host.SendFrame(c.host.arena.FrameOf(ack))
 }
 
@@ -304,29 +270,13 @@ func (c *TCPClient) Send(data []byte) { c.SendSummed(data, nil) }
 // data must stay unmodified until the path's arena resets, as trace
 // payloads do.
 func (c *TCPClient) SendSummed(data []byte, segSums []uint32) {
-	var pkts []*packet.Packet
-	seq := c.sndNxt
-	for off := 0; off < len(data); off += MSS {
-		end := off + MSS
-		if end > len(data) {
-			end = len(data)
-		}
-		id := c.host.nextIPID()
-		var seg *packet.Packet
-		if k := off / MSS; k < len(segSums) {
-			seg = c.host.arena.NewTCPSummed(c.host.Addr, c.Dst, id, c.SrcPort, c.DstPort, seq, c.rcvNxt, packet.FlagACK|packet.FlagPSH, data[off:end], segSums[k])
-		} else {
-			seg = c.host.arena.NewTCP(c.host.Addr, c.Dst, id, c.SrcPort, c.DstPort, seq, c.rcvNxt, packet.FlagACK|packet.FlagPSH, data[off:end])
-		}
-		seq += uint32(end - off)
-		pkts = append(pkts, seg)
-	}
 	fi := FlowInfo{
 		Proto: packet.ProtoTCP,
 		Src:   c.host.Addr, Dst: c.Dst, SrcPort: c.SrcPort, DstPort: c.DstPort,
-		SndNxt: c.sndNxt, RcvNxt: c.rcvNxt,
+		SndNxt: c.sndNxt, RcvNxt: c.rx.next,
 		WriteIndex: c.writeIndex, DataPacketsSent: c.dataPacketsSent,
 	}
+	pkts, seq := fi.tcpSegments(c.host.arena, &c.host.ids, data, segSums)
 	c.writeIndex++
 	c.sndNxt = seq
 	sched := c.Transform.Transform(fi, pkts)
@@ -394,7 +344,7 @@ func (c *TCPClient) emit(sched []Scheduled) {
 // CloseFIN sends a FIN at the current sequence position after the last
 // scheduled emission has drained.
 func (c *TCPClient) CloseFIN() {
-	fin := c.host.arena.NewTCP(c.host.Addr, c.Dst, c.host.nextIPID(), c.SrcPort, c.DstPort, c.sndNxt, c.rcvNxt, packet.FlagACK|packet.FlagFIN, nil)
+	fin := c.host.arena.NewTCP(c.host.Addr, c.Dst, c.host.ids.next(), c.SrcPort, c.DstPort, c.sndNxt, c.rx.next, packet.FlagACK|packet.FlagFIN, nil)
 	c.sndNxt++
 	fr := c.host.arena.FrameOf(fin)
 	at := c.host.Clock.Now()
@@ -418,8 +368,6 @@ type UDPClient struct {
 
 	// OnData receives datagrams from the server.
 	OnData func(data []byte)
-	// Received accumulates datagram payloads in arrival order.
-	Received [][]byte
 }
 
 // NewUDPClient registers a UDP flow on the host.
@@ -437,7 +385,6 @@ func (c *UDPClient) deliver(p *packet.Packet, defects packet.DefectSet) {
 	if p.UDP == nil || !defects.Empty() {
 		return
 	}
-	c.Received = append(c.Received, append([]byte(nil), p.Payload...))
 	if c.OnData != nil {
 		c.OnData(p.Payload)
 	}
@@ -453,29 +400,13 @@ func (c *UDPClient) Send(data []byte) { c.SendSummed(data, nil) }
 // SendSummed is Send with optional precomputed per-MSS payload partial
 // sums (trace.Message.CheckedSegSums); segSums[k] covers data[k*MSS:...].
 func (c *UDPClient) SendSummed(data []byte, segSums []uint32) {
-	var pkts []*packet.Packet
-	for off := 0; off < len(data) || off == 0; off += MSS {
-		end := off + MSS
-		if end > len(data) {
-			end = len(data)
-		}
-		id := c.host.nextIPID()
-		var p *packet.Packet
-		if k := off / MSS; k < len(segSums) {
-			p = c.host.arena.NewUDPSummed(c.host.Addr, c.Dst, id, c.SrcPort, c.DstPort, data[off:end], segSums[k])
-		} else {
-			p = c.host.arena.NewUDP(c.host.Addr, c.Dst, id, c.SrcPort, c.DstPort, data[off:end])
-		}
-		pkts = append(pkts, p)
-		if len(data) == 0 {
-			break
-		}
-	}
 	fi := FlowInfo{
 		Proto: packet.ProtoUDP,
 		Src:   c.host.Addr, Dst: c.Dst, SrcPort: c.SrcPort, DstPort: c.DstPort,
 		WriteIndex: c.writeIndex, DataPacketsSent: c.dataPacketsSent,
 	}
+	var pkts []*packet.Packet
+	fi.udpSegments(c.host.arena, &c.host.ids, data, segSums, func(p *packet.Packet) { pkts = append(pkts, p) })
 	c.writeIndex++
 	sched := c.Transform.Transform(fi, pkts)
 	at := c.host.Clock.Now()

@@ -96,6 +96,7 @@ func TestServerRetransmitsLostSegment(t *testing.T) {
 	srv.ListenStream(80, app)
 	host := NewClientHost(env)
 	cli := NewTCPClient(host, sAddr, 40000, 80)
+	got := collect(cli)
 	cli.OnConnected = func() { cli.Send([]byte("go")) }
 	cli.Connect()
 	if err := clock.Run(); err != nil {
@@ -107,8 +108,8 @@ func TestServerRetransmitsLostSegment(t *testing.T) {
 	if srv.Retransmissions == 0 {
 		t.Fatal("server did not retransmit")
 	}
-	if !bytes.Equal(cli.Received, reply) {
-		t.Fatalf("client stream incomplete: %d of %d bytes", len(cli.Received), len(reply))
+	if !bytes.Equal(*got, reply) {
+		t.Fatalf("client stream incomplete: %d of %d bytes", len(*got), len(reply))
 	}
 }
 
@@ -132,7 +133,7 @@ func TestNoSpuriousRetransmissionsOnCleanPath(t *testing.T) {
 	}
 }
 
-func TestRetransmissionGivesUpAfterMaxRetries(t *testing.T) {
+func TestRetransmissionGivesUpAfterThreeRetries(t *testing.T) {
 	clock := vclock.New()
 	env := netem.New(clock, cAddr, sAddr)
 	// Black-hole all data after the handshake.
@@ -144,14 +145,13 @@ func TestRetransmissionGivesUpAfterMaxRetries(t *testing.T) {
 	host := NewClientHost(env)
 	cli := NewTCPClient(host, sAddr, 40000, 80)
 	cli.RTO = DefaultRTO
-	cli.MaxRetries = 2
 	cli.OnConnected = func() { cli.Send([]byte("doomed")) }
 	cli.Connect()
 	if err := clock.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if cli.Retransmissions != 2 {
-		t.Fatalf("retransmissions = %d, want exactly MaxRetries=2", cli.Retransmissions)
+	if cli.Retransmissions != 3 {
+		t.Fatalf("retransmissions = %d, want exactly 3", cli.Retransmissions)
 	}
 }
 

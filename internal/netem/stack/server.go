@@ -57,10 +57,7 @@ type Server struct {
 
 	// Captured holds every raw arrival (pre-validation).
 	Captured []Arrival
-	// Datagrams holds every UDP payload delivered to an application, in
-	// order (post-validation).
-	Datagrams [][]byte
-	ipid      uint16
+	ids      ipIDs
 }
 
 // ConnFor returns the connection for a client-orientation flow key, or nil.
@@ -130,13 +127,8 @@ func (s *Server) Deliver(f *packet.Frame) {
 	}
 }
 
-func (s *Server) nextIPID() uint16 {
-	s.ipid++
-	return s.ipid
-}
-
 func (s *Server) sendRST(p *packet.Packet) {
-	rst := s.arena.NewTCP(s.Addr, p.IP.Src, s.nextIPID(), p.TCP.DstPort, p.TCP.SrcPort, p.TCP.Ack, p.TCP.Seq, packet.FlagRST|packet.FlagACK, nil)
+	rst := s.arena.NewTCP(s.Addr, p.IP.Src, s.ids.next(), p.TCP.DstPort, p.TCP.SrcPort, p.TCP.Ack, p.TCP.Seq, packet.FlagRST|packet.FlagACK, nil)
 	s.Env.FromServerFrame(s.arena.FrameOf(rst))
 }
 
@@ -154,11 +146,10 @@ func (s *Server) handleTCP(p *packet.Packet, defects packet.DefectSet) {
 		conn = &ServerConn{
 			srv: s, app: app,
 			Src: p.IP.Src, SrcPort: t.SrcPort, DstPort: t.DstPort,
-			rcvNxt: t.Seq + 1, sndNxt: serverISS,
-			ooo: make(map[uint32][]byte),
+			rx: inOrder{next: t.Seq + 1}, sndNxt: serverISS,
 		}
 		s.conns[key] = conn
-		synack := s.arena.NewTCP(s.Addr, conn.Src, s.nextIPID(), conn.DstPort, conn.SrcPort, conn.sndNxt, conn.rcvNxt, packet.FlagSYN|packet.FlagACK, nil)
+		synack := s.arena.NewTCP(s.Addr, conn.Src, s.ids.next(), conn.DstPort, conn.SrcPort, conn.sndNxt, conn.rx.next, packet.FlagSYN|packet.FlagACK, nil)
 		conn.sndNxt++
 		s.Env.FromServerFrame(s.arena.FrameOf(synack))
 		return
@@ -176,7 +167,7 @@ func (s *Server) handleTCP(p *packet.Packet, defects packet.DefectSet) {
 		// A RST is honored only when its sequence number is in-window;
 		// TTL-limited RSTs never get here (they expire in-path), but a
 		// full-TTL forged RST would.
-		if inWindow(t.Seq, conn.rcvNxt, 65535) {
+		if inWindow(t.Seq, conn.rx.next, rcvWindow) {
 			conn.close("rst")
 		}
 		return
@@ -206,7 +197,6 @@ func (s *Server) handleUDP(p *packet.Packet, defects packet.DefectSet) {
 			data = data[:claimed]
 		}
 	}
-	s.Datagrams = append(s.Datagrams, append([]byte(nil), data...))
 	app.OnDatagram(s, p.IP.Src, p.UDP.SrcPort, p.UDP.DstPort, data)
 }
 
@@ -222,28 +212,8 @@ func (s *Server) SendDatagram(dst packet.Addr, srcPort, dstPort uint16, data []b
 // data must stay unmodified until the path's arena resets, as trace
 // payloads do.
 func (s *Server) SendDatagramSummed(dst packet.Addr, srcPort, dstPort uint16, data []byte, segSums []uint32) {
-	for off := 0; off < len(data) || off == 0; off += MSS {
-		end := off + MSS
-		if end > len(data) {
-			end = len(data)
-		}
-		id := s.nextIPID()
-		var p *packet.Packet
-		if k := off / MSS; k < len(segSums) {
-			p = s.arena.NewUDPSummed(s.Addr, dst, id, srcPort, dstPort, data[off:end], segSums[k])
-		} else {
-			p = s.arena.NewUDP(s.Addr, dst, id, srcPort, dstPort, data[off:end])
-		}
-		s.Env.FromServerFrame(s.arena.FrameOf(p))
-		if len(data) == 0 {
-			break
-		}
-	}
-}
-
-// inWindow reports whether seq lies in [rcvNxt, rcvNxt+win) mod 2^32.
-func inWindow(seq, rcvNxt uint32, win uint32) bool {
-	return seq-rcvNxt < win
+	fi := FlowInfo{Proto: packet.ProtoUDP, Src: s.Addr, Dst: dst, SrcPort: srcPort, DstPort: dstPort}
+	fi.udpSegments(s.arena, &s.ids, data, segSums, func(p *packet.Packet) { s.Env.FromServerFrame(s.arena.FrameOf(p)) })
 }
 
 // ServerConn is one server-side TCP connection.
@@ -255,10 +225,9 @@ type ServerConn struct {
 	SrcPort uint16
 	DstPort uint16
 
-	rcvNxt        uint32
+	rx            inOrder
 	sndNxt        uint32
 	ackedByClient uint32
-	ooo           map[uint32][]byte // out-of-order segments by sequence number
 	closed        bool
 
 	// Transform, when non-nil, reshapes outgoing (server→client) packets —
@@ -269,10 +238,6 @@ type ServerConn struct {
 	writeIndex      int
 	dataPacketsSent int
 	sendReady       time.Time
-
-	// Received accumulates the in-order application byte stream; replay
-	// integrity checks read it.
-	Received []byte
 }
 
 // Closed reports whether the connection has ended.
@@ -288,39 +253,14 @@ func (c *ServerConn) close(reason string) {
 	}
 }
 
-// receive integrates an in-window segment, delivering contiguous data.
+// receive integrates one segment, delivering contiguous data. Every
+// segment gets exactly one ACK, data and FIN alike.
 func (c *ServerConn) receive(seq uint32, payload []byte, fin bool) {
-	const win = 65535
 	if len(payload) > 0 {
-		switch {
-		case seq == c.rcvNxt:
-			c.deliver(payload)
-		case inWindow(seq, c.rcvNxt, win):
-			// Future segment: buffer (first copy wins, matching the
-			// overlap policy endpoints in the study exhibited).
-			if _, dup := c.ooo[seq]; !dup {
-				c.ooo[seq] = append([]byte(nil), payload...)
-			}
-		case inWindow(seq+uint32(len(payload)), c.rcvNxt, win) && seq+uint32(len(payload))-c.rcvNxt > 0:
-			// Partial overlap from the left: keep the new tail.
-			tail := payload[c.rcvNxt-seq:]
-			c.deliver(tail)
-		default:
-			// Old duplicate or out-of-window ("wrong sequence number"
-			// inert packets land here): drop, re-ACK.
-		}
-		// Drain any now-contiguous buffered segments.
-		for {
-			next, ok := c.ooo[c.rcvNxt]
-			if !ok {
-				break
-			}
-			delete(c.ooo, c.rcvNxt)
-			c.deliver(next)
-		}
+		c.rx.receive(seq, payload, c.deliver)
 	}
-	if fin && seq+uint32(len(payload)) == c.rcvNxt {
-		c.rcvNxt++
+	if fin && seq+uint32(len(payload)) == c.rx.next {
+		c.rx.next++
 		c.sendACK()
 		c.close("fin")
 		return
@@ -329,15 +269,13 @@ func (c *ServerConn) receive(seq uint32, payload []byte, fin bool) {
 }
 
 func (c *ServerConn) deliver(data []byte) {
-	c.rcvNxt += uint32(len(data))
-	c.Received = append(c.Received, data...)
 	if c.app != nil {
 		c.app.OnStream(c, data)
 	}
 }
 
 func (c *ServerConn) sendACK() {
-	ack := c.srv.arena.NewTCP(c.srv.Addr, c.Src, c.srv.nextIPID(), c.DstPort, c.SrcPort, c.sndNxt, c.rcvNxt, packet.FlagACK, nil)
+	ack := c.srv.arena.NewTCP(c.srv.Addr, c.Src, c.srv.ids.next(), c.DstPort, c.SrcPort, c.sndNxt, c.rx.next, packet.FlagACK, nil)
 	c.srv.Env.FromServerFrame(c.srv.arena.FrameOf(ack))
 }
 
@@ -351,23 +289,13 @@ func (c *ServerConn) Send(data []byte) { c.SendSummed(data, nil) }
 // data must stay unmodified until the path's arena resets, as trace
 // payloads do.
 func (c *ServerConn) SendSummed(data []byte, segSums []uint32) {
-	var pkts []*packet.Packet
-	seq := c.sndNxt
-	for off := 0; off < len(data); off += MSS {
-		end := off + MSS
-		if end > len(data) {
-			end = len(data)
-		}
-		id := c.srv.nextIPID()
-		var seg *packet.Packet
-		if k := off / MSS; k < len(segSums) {
-			seg = c.srv.arena.NewTCPSummed(c.srv.Addr, c.Src, id, c.DstPort, c.SrcPort, seq, c.rcvNxt, packet.FlagACK|packet.FlagPSH, data[off:end], segSums[k])
-		} else {
-			seg = c.srv.arena.NewTCP(c.srv.Addr, c.Src, id, c.DstPort, c.SrcPort, seq, c.rcvNxt, packet.FlagACK|packet.FlagPSH, data[off:end])
-		}
-		seq += uint32(end - off)
-		pkts = append(pkts, seg)
+	fi := FlowInfo{
+		Proto: packet.ProtoTCP,
+		Src:   c.srv.Addr, Dst: c.Src, SrcPort: c.DstPort, DstPort: c.SrcPort,
+		SndNxt: c.sndNxt, RcvNxt: c.rx.next,
+		WriteIndex: c.writeIndex, DataPacketsSent: c.dataPacketsSent,
 	}
+	pkts, seq := fi.tcpSegments(c.srv.arena, &c.srv.ids, data, segSums)
 	if c.Transform == nil {
 		c.sndNxt = seq
 		// Put the whole burst on the wire first, then arm retransmission
@@ -384,12 +312,6 @@ func (c *ServerConn) SendSummed(data []byte, segSums []uint32) {
 			c.armRetransmit(frames[i], p.TCP.Seq+uint32(len(p.Payload)), 0)
 		}
 		return
-	}
-	fi := FlowInfo{
-		Proto: packet.ProtoTCP,
-		Src:   c.srv.Addr, Dst: c.Src, SrcPort: c.DstPort, DstPort: c.SrcPort,
-		SndNxt: c.sndNxt, RcvNxt: c.rcvNxt,
-		WriteIndex: c.writeIndex, DataPacketsSent: c.dataPacketsSent,
 	}
 	c.writeIndex++
 	c.sndNxt = seq
@@ -429,7 +351,7 @@ func (c *ServerConn) armRetransmit(fr *packet.Frame, seqEnd uint32, tries int) {
 	if c.srv.RTO <= 0 {
 		return
 	}
-	if tries >= 3 {
+	if tries >= maxRetries {
 		return
 	}
 	c.srv.Clock.Schedule(c.srv.RTO, func() {
@@ -447,7 +369,7 @@ func (c *ServerConn) armRetransmit(fr *packet.Frame, seqEnd uint32, tries int) {
 
 // Close sends a FIN.
 func (c *ServerConn) Close() {
-	fin := c.srv.arena.NewTCP(c.srv.Addr, c.Src, c.srv.nextIPID(), c.DstPort, c.SrcPort, c.sndNxt, c.rcvNxt, packet.FlagACK|packet.FlagFIN, nil)
+	fin := c.srv.arena.NewTCP(c.srv.Addr, c.Src, c.srv.ids.next(), c.DstPort, c.SrcPort, c.sndNxt, c.rx.next, packet.FlagACK|packet.FlagFIN, nil)
 	c.sndNxt++
 	c.srv.Env.FromServerFrame(c.srv.arena.FrameOf(fin))
 	c.close("local-fin")

@@ -36,6 +36,13 @@ func (a *echoApp) OnStream(c *ServerConn, data []byte) {
 
 func (a *echoApp) OnClose(c *ServerConn, reason string) { a.closes = append(a.closes, reason) }
 
+// collect gathers a TCP client's in-order stream through OnData.
+func collect(cli *TCPClient) *[]byte {
+	var got []byte
+	cli.OnData = func(d []byte) { got = append(got, d...) }
+	return &got
+}
+
 type dgramEcho struct{ got [][]byte }
 
 func (a *dgramEcho) OnDatagram(s *Server, src packet.Addr, srcPort, dstPort uint16, data []byte) {
@@ -58,6 +65,7 @@ func TestTCPHandshakeAndTransfer(t *testing.T) {
 	srv.ListenStream(80, app)
 	host := NewClientHost(env)
 	cli := NewTCPClient(host, sAddr, 40000, 80)
+	got := collect(cli)
 
 	cli.OnConnected = func() { cli.Send([]byte("hello server")) }
 	cli.Connect()
@@ -70,8 +78,8 @@ func TestTCPHandshakeAndTransfer(t *testing.T) {
 	if string(app.got) != "hello server" {
 		t.Fatalf("server stream = %q", app.got)
 	}
-	if string(cli.Received) != "response-body" {
-		t.Fatalf("client received %q", cli.Received)
+	if string(*got) != "response-body" {
+		t.Fatalf("client received %q", *got)
 	}
 }
 
@@ -84,13 +92,14 @@ func TestTCPLargeTransferSegmentsAndReassembles(t *testing.T) {
 	srv.ListenStream(80, app)
 	host := NewClientHost(env)
 	cli := NewTCPClient(host, sAddr, 40000, 80)
+	got := collect(cli)
 	cli.OnConnected = func() { cli.Send([]byte("go")) }
 	cli.Connect()
 	if err := clock.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(cli.Received, payload) {
-		t.Fatalf("client got %d bytes, want %d", len(cli.Received), len(payload))
+	if !bytes.Equal(*got, payload) {
+		t.Fatalf("client got %d bytes, want %d", len(*got), len(payload))
 	}
 }
 
@@ -102,7 +111,8 @@ func TestClientStreamReassemblyOutOfOrder(t *testing.T) {
 	host := NewClientHost(env)
 	cli := NewTCPClient(host, sAddr, 40000, 80)
 	cli.established = true
-	cli.rcvNxt = 100
+	cli.rx.next = 100
+	got := collect(cli)
 
 	seg := func(seq uint32, data string) *packet.Packet {
 		return packet.NewTCP(sAddr, cAddr, 80, 40000, seq, cli.sndNxt, packet.FlagACK, []byte(data))
@@ -112,8 +122,8 @@ func TestClientStreamReassemblyOutOfOrder(t *testing.T) {
 	cli.deliver(p2, 0)
 	cli.deliver(p1, 0)
 	_ = clock
-	if string(cli.Received) != "HELLOWORLD" {
-		t.Fatalf("reassembled %q", cli.Received)
+	if string(*got) != "HELLOWORLD" {
+		t.Fatalf("reassembled %q", *got)
 	}
 }
 
@@ -150,7 +160,7 @@ func TestServerOOOSegmentsProperty(t *testing.T) {
 		rng.Shuffle(len(chunks), func(i, j int) { chunks[i], chunks[j] = chunks[j], chunks[i] })
 		base := cli.sndNxt
 		for _, ch := range chunks {
-			seg := packet.NewTCP(cAddr, sAddr, 40000, 80, base+uint32(ch[0]), cli.rcvNxt, packet.FlagACK, msg[ch[0]:ch[1]])
+			seg := packet.NewTCP(cAddr, sAddr, 40000, 80, base+uint32(ch[0]), cli.rx.next, packet.FlagACK, msg[ch[0]:ch[1]])
 			cli.SendRaw(seg)
 		}
 		if err := clock.Run(); err != nil {
@@ -173,7 +183,7 @@ func TestServerDropsWrongSeq(t *testing.T) {
 	clock.Run()
 
 	// Way out-of-window inert packet.
-	inert := packet.NewTCP(cAddr, sAddr, 40000, 80, cli.sndNxt+1_000_000, cli.rcvNxt, packet.FlagACK, []byte("INERT"))
+	inert := packet.NewTCP(cAddr, sAddr, 40000, 80, cli.sndNxt+1_000_000, cli.rx.next, packet.FlagACK, []byte("INERT"))
 	cli.SendRaw(inert)
 	cli.Send([]byte("real"))
 	clock.Run()
@@ -230,7 +240,7 @@ func TestOSProfilesDropInertPackets(t *testing.T) {
 				cli.Connect()
 				clock.Run()
 
-				inert := packet.NewTCP(cAddr, sAddr, 40000, 80, cli.sndNxt, cli.rcvNxt, packet.FlagACK|packet.FlagPSH, []byte("INERT"))
+				inert := packet.NewTCP(cAddr, sAddr, 40000, 80, cli.sndNxt, cli.rx.next, packet.FlagACK|packet.FlagPSH, []byte("INERT"))
 				inert.Finalize()
 				tcase.corrupt(inert)
 				cli.SendRaw(inert)
@@ -275,13 +285,15 @@ func TestUDPEcho(t *testing.T) {
 	srv.ListenDatagram(3478, app)
 	host := NewClientHost(env)
 	cli := NewUDPClient(host, sAddr, 5000, 3478)
+	var got [][]byte
+	cli.OnData = func(d []byte) { got = append(got, append([]byte(nil), d...)) }
 	cli.Send([]byte("stun-req"))
 	clock.Run()
 	if len(app.got) != 1 || string(app.got[0]) != "stun-req" {
 		t.Fatalf("server got %q", app.got)
 	}
-	if len(cli.Received) != 1 || string(cli.Received[0]) != "re:stun-req" {
-		t.Fatalf("client got %q", cli.Received)
+	if len(got) != 1 || string(got[0]) != "re:stun-req" {
+		t.Fatalf("client got %q", got)
 	}
 }
 

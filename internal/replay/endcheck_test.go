@@ -3,6 +3,7 @@ package replay
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/trace"
@@ -22,22 +23,80 @@ func scriptFor(s2c ...string) (*script, []byte) {
 	return scriptOf(tr), stream
 }
 
-// reference is what the end checks meant when they concatenated the
-// expected stream.
+// reference is what the checks mean: the whole received stream against
+// the concatenated expected one.
 func reference(received, expected []byte) (got403, intact bool) {
-	return bytes.Contains(received, blockLine) && !bytes.Contains(expected, blockLine),
+	return bytes.Contains(received, []byte(blockLine)) && !bytes.Contains(expected, []byte(blockLine)),
 		bytes.Equal(received, expected)
 }
 
+// runCheck feeds received to a server→client check in chunks cut at cuts
+// (ascending offsets into received).
+func runCheck(sc *script, received []byte, cuts []int) *streamCheck {
+	c := &streamCheck{steps: sc.server, total: sc.s2cLen, scan: true}
+	at := 0
+	for _, cut := range append(cuts, len(received)) {
+		if cut > at {
+			c.feed(received[at:cut])
+			at = cut
+		}
+	}
+	return c
+}
+
+// chunkings returns the ways checkAgainstReference delivers received: in
+// one piece, byte by byte, cut inside every occurrence of the block line
+// at each of its inner offsets, cut at every step boundary of the script,
+// and in random chunks.
+func chunkings(sc *script, received []byte, rng *rand.Rand) [][]int {
+	bytewise := make([]int, len(received))
+	for i := range bytewise {
+		bytewise[i] = i
+	}
+	out := [][]int{nil, bytewise}
+	for at := 0; ; {
+		k := bytes.Index(received[at:], []byte(blockLine))
+		if k < 0 {
+			break
+		}
+		for j := 1; j < len(blockLine); j++ {
+			out = append(out, []int{at + k + j})
+		}
+		at += k + 1
+	}
+	var steps []int
+	n := 0
+	for _, st := range sc.server {
+		n += len(st.data)
+		if n < len(received) {
+			steps = append(steps, n)
+		}
+	}
+	out = append(out, steps)
+	for i := 0; i < 4; i++ {
+		var cuts []int
+		for at := rng.Intn(8); at < len(received); at += 1 + rng.Intn(12) {
+			cuts = append(cuts, at)
+		}
+		out = append(out, cuts)
+	}
+	return out
+}
+
+// checkAgainstReference runs the check over every chunking of received
+// and compares got403, intact and the byte count with the reference.
 func checkAgainstReference(t *testing.T, sc *script, expected, received []byte) (got403, intact bool) {
 	t.Helper()
-	got403, intact = sc.checkS2C(received)
 	want403, wantIntact := reference(received, expected)
-	if got403 != want403 || intact != wantIntact {
-		t.Fatalf("received %q against %q: got403=%v intact=%v, want %v %v",
-			received, expected, got403, intact, want403, wantIntact)
+	rng := rand.New(rand.NewSource(int64(len(received))))
+	for _, cuts := range chunkings(sc, received, rng) {
+		c := runCheck(sc, received, cuts)
+		if c.got403(sc) != want403 || c.intact() != wantIntact || c.n != len(received) {
+			t.Fatalf("received %q against %q cut at %v: got403=%v intact=%v n=%d, want %v %v %d",
+				received, expected, cuts, c.got403(sc), c.intact(), c.n, want403, wantIntact, len(received))
+		}
 	}
-	return got403, intact
+	return want403, wantIntact
 }
 
 func TestEndChecksBlockPageAcrossSegmentBoundary(t *testing.T) {
@@ -122,4 +181,33 @@ func TestEndChecksMatchReference(t *testing.T) {
 		}
 		checkAgainstReference(t, sc, expected, received)
 	}
+}
+
+// FuzzStreamCheck compares the running check with the reference over
+// arbitrary scripts, received streams and chunkings. script holds the
+// server's writes separated by '|'; each byte of chunks sets the length
+// of the next delivery (1–16 bytes), the last length repeating.
+func FuzzStreamCheck(f *testing.F) {
+	f.Add("HTTP/1.1 200 OK\r\n\r\n|body", []byte("HTTP/1.1 200 OK\r\n\r\nbHTTP/1.1 403 Forbidden"), []byte{3, 7, 1})
+	f.Add("HTTP/1.1 403 Fo|rbidden", []byte("HTTP/1.1 403 Forbidden"), []byte{15})
+	f.Add("aHTTP/1.1 40|0", []byte("aHTTP/1.1 403 Forbidden\r\n"), []byte{12, 1})
+	f.Add("abc||def", []byte("abcdef"), []byte{2})
+	f.Add("", []byte(""), []byte{})
+	f.Fuzz(func(t *testing.T, script string, received, chunks []byte) {
+		sc, expected := scriptFor(strings.Split(script, "|")...)
+		want403, wantIntact := reference(received, expected)
+		var cuts []int
+		size := 1
+		for at, i := 0, 0; at < len(received); at, i = at+size, i+1 {
+			if i < len(chunks) {
+				size = 1 + int(chunks[i]%16)
+			}
+			cuts = append(cuts, at)
+		}
+		c := runCheck(sc, received, cuts)
+		if c.got403(sc) != want403 || c.intact() != wantIntact || c.n != len(received) {
+			t.Fatalf("received %q against %q cut at %v: got403=%v intact=%v n=%d, want %v %v %d",
+				received, expected, cuts, c.got403(sc), c.intact(), c.n, want403, wantIntact, len(received))
+		}
+	})
 }

@@ -136,7 +136,7 @@ type scriptStep struct {
 }
 
 // blockLine is the status line of the block page a censor injects.
-var blockLine = []byte("HTTP/1.1 403 Forbidden")
+const blockLine = "HTTP/1.1 403 Forbidden"
 
 // scriptKey is the key of the replay script in a trace's memo slot.
 type scriptKey struct{}
@@ -170,72 +170,145 @@ func (s *script) servesBlockPage() bool {
 		for _, st := range s.server {
 			stream = append(stream, st.data...)
 		}
-		s.blockPage = bytes.Contains(stream, blockLine)
+		s.blockPage = bytes.Contains(stream, []byte(blockLine))
 	})
 	return s.blockPage
 }
 
-// checkS2C judges the server→client stream a TCP client received: got403
-// reports a block page the trace itself does not serve, exactly
-// bytes.Contains(received, blockLine) && !bytes.Contains(expected,
-// blockLine); intact reports received == expected. Neither builds the
-// expected stream.
-func (s *script) checkS2C(received []byte) (got403, intact bool) {
-	got := matchLen(received, s.server)
-	// When the expected stream lacks the status line, any occurrence in
-	// received must reach past the prefix that matches it, which is at
-	// least got bytes long, so the scan starts got minus the line's length
-	// in.
-	from := max(0, got-len(blockLine))
-	got403 = bytes.Contains(received[from:], blockLine) && !s.servesBlockPage()
-	return got403, got == len(received) && got == s.s2cLen
+// carryLen is how many bytes of a stream's past a block-line search must
+// see: any occurrence that started earlier has already been seen whole.
+const carryLen = len(blockLine) - 1
+
+// streamCheck judges one direction of a replay as its in-order bytes
+// arrive, against the steps the peer's script sends, and stores none of
+// them. Datagram boundaries do not matter: a UDP write larger than one
+// MTU legitimately arrives split, so both protocols judge the joined
+// stream.
+type streamCheck struct {
+	steps []scriptStep
+	total int // length of the scripted stream
+	n     int // bytes received so far
+	// While every received byte has matched, the next one is expected at
+	// steps[step].data[off]; diverged records the first mismatch.
+	step, off int
+	diverged  bool
+	// scan asks whether blockLine arrived (TCP server→client only). An
+	// occurrence inside the matching prefix would be the trace's own and
+	// prove nothing, so the search starts at the first mismatch, joined
+	// to carry, the stream's last carryLen bytes before the searched ones
+	// (taken from the script at the mismatch, from deliveries after it).
+	scan   bool
+	found  bool
+	carry  [carryLen]byte
+	carryN int
 }
 
-// matchLen returns how many leading bytes of got are known to match the
-// concatenation of the steps' data, without building the concatenation:
-// the whole common prefix when got is a prefix of the stream or the
-// stream of got, else the start of the first step that differs. A lower
-// bound serves both callers, since a difference always leaves it short
-// of len(got).
-func matchLen(got []byte, steps []scriptStep) int {
-	n := 0
-	for _, st := range steps {
-		rest := got[n:]
-		k := min(len(rest), len(st.data))
-		if !bytes.Equal(rest[:k], st.data[:k]) {
-			return n
+// intact reports whether exactly the scripted stream arrived.
+func (c *streamCheck) intact() bool { return !c.diverged && c.n == c.total }
+
+// got403 reports a block page the trace itself does not serve: exactly
+// bytes.Contains(received, blockLine) && !sc.servesBlockPage().
+func (c *streamCheck) got403(sc *script) bool { return c.found && !sc.servesBlockPage() }
+
+// feed takes the next in-order delivery.
+func (c *streamCheck) feed(d []byte) {
+	c.n += len(d)
+	if !c.diverged {
+		i := c.match(d)
+		if i == len(d) {
+			return
 		}
-		n += k
-		if k < len(st.data) {
-			break
+		c.diverged = true
+		if !c.scan {
+			return
+		}
+		// An occurrence that matters holds a byte at or past the mismatch:
+		// search from there, with the bytes before it in carry.
+		c.carryScript()
+		d = d[i:]
+	}
+	if c.scan && !c.found {
+		var seam [2 * carryLen]byte
+		s := append(append(seam[:0], c.carry[:c.carryN]...), d[:min(len(d), carryLen)]...)
+		c.found = bytes.Contains(s, []byte(blockLine)) || bytes.Contains(d, []byte(blockLine))
+		c.keep(d)
+	}
+}
+
+// match advances the matched position over the leading bytes of d that
+// agree with the steps and returns how many it passed; a result short of
+// len(d) is at most the offset of d's first mismatching byte.
+func (c *streamCheck) match(d []byte) int {
+	i := 0
+	for i < len(d) && c.step < len(c.steps) {
+		want := c.steps[c.step].data[c.off:]
+		k := min(len(want), len(d)-i)
+		if !bytes.Equal(d[i:i+k], want[:k]) {
+			return i
+		}
+		i += k
+		c.off += k
+		if c.off == len(c.steps[c.step].data) {
+			c.step, c.off = c.step+1, 0
 		}
 	}
-	return n
+	return i
 }
 
-// streamIs reports whether got is exactly the concatenation of the steps'
-// data.
-func streamIs(got []byte, steps []scriptStep, total int) bool {
-	return len(got) == total && matchLen(got, steps) == total
+// carryScript fills carry with the carryLen bytes before the matched
+// position, which are the script's own.
+func (c *streamCheck) carryScript() {
+	end := carryLen
+	for st, off := c.step, c.off; end > 0; {
+		if off == 0 {
+			if st == 0 {
+				break
+			}
+			st--
+			off = len(c.steps[st].data)
+			continue
+		}
+		k := min(end, off)
+		copy(c.carry[end-k:end], c.steps[st].data[off-k:off])
+		end, off = end-k, off-k
+	}
+	c.carryN = copy(c.carry[:], c.carry[end:])
+}
+
+// keep slides d into carry.
+func (c *streamCheck) keep(d []byte) {
+	if len(d) >= carryLen {
+		c.carryN = copy(c.carry[:], d[len(d)-carryLen:])
+		return
+	}
+	drop := max(0, c.carryN+len(d)-carryLen)
+	c.carryN = copy(c.carry[:], c.carry[drop:c.carryN])
+	c.carryN += copy(c.carry[c.carryN:], d)
 }
 
 type serverApp struct {
 	sc        *script
 	released  int // server steps released
-	received  int
-	closed    bool
+	received  int // stream bytes from every connection on the port
 	transform stack.OutgoingTransform
+	// c2s judges the replay flow's connection only.
+	srv  *stack.Server
+	flow packet.FlowKey
+	c2s  *streamCheck
 }
 
 func (a *serverApp) OnStream(c *stack.ServerConn, data []byte) {
 	if a.transform != nil && c.Transform == nil {
 		c.Transform = a.transform
 	}
+	if c == a.srv.ConnFor(a.flow) {
+		a.c2s.feed(data)
+	}
 	a.received += len(data)
 	a.release(c)
 }
 
-func (a *serverApp) OnClose(c *stack.ServerConn, reason string) { a.closed = true }
+func (a *serverApp) OnClose(c *stack.ServerConn, reason string) {}
 
 // release sends every server message whose client-byte precondition is met.
 func (a *serverApp) release(c *stack.ServerConn) {
@@ -249,22 +322,19 @@ func (a *serverApp) release(c *stack.ServerConn) {
 	}
 }
 
+// dgramApp is the UDP replay server. Its c2s check sees every datagram on
+// the port, and its byte count gates the server's writes.
 type dgramApp struct {
 	sc       *script
 	released int
-	received int
-	peer     struct {
-		addr             packet.Addr
-		srcPort, dstPort uint16
-	}
+	c2s      *streamCheck
 }
 
 func (a *dgramApp) OnDatagram(s *stack.Server, src packet.Addr, srcPort, dstPort uint16, data []byte) {
-	a.received += len(data)
-	a.peer.addr, a.peer.srcPort, a.peer.dstPort = src, srcPort, dstPort
+	a.c2s.feed(data)
 	for a.released < len(a.sc.server) {
 		st := a.sc.server[a.released]
-		if a.received < st.need {
+		if a.c2s.n < st.need {
 			return
 		}
 		a.released++
@@ -327,7 +397,6 @@ func Run(opts Options) (*Result, error) {
 	// never reads below zero).
 	const noTime = -1
 	lastDataAt, firstDataAt, windowStart := int64(noTime), int64(noTime), int64(noTime)
-	var s2cBytes int
 	var windowBytes int
 	var peak float64
 	lastWriteAt, tailFirst, tailLast := int64(noTime), int64(noTime), int64(noTime)
@@ -346,7 +415,6 @@ func Run(opts Options) (*Result, error) {
 			windowStart = now
 		}
 		lastDataAt = now
-		s2cBytes += n
 		windowBytes += n
 		if lastWriteAt != noTime && now > lastWriteAt {
 			if tailFirst == noTime {
@@ -365,15 +433,21 @@ func Run(opts Options) (*Result, error) {
 		}
 	}
 
-	h := hooks{onData: onData, markWrite: markWrite}
+	f := &flow{
+		opts: opts, sc: sc, onData: onData, markWrite: markWrite,
+		s2c: streamCheck{steps: sc.server, total: sc.s2cLen, scan: tr.Proto == packet.ProtoTCP},
+		c2s: streamCheck{steps: sc.client, total: sc.c2sLen},
+	}
 	switch tr.Proto {
 	case packet.ProtoTCP:
-		runTCP(opts, srv, host, sc, serverPort, clientPort, h, res)
+		f.runTCP(srv, host, serverPort, clientPort, res)
 	case packet.ProtoUDP:
-		runUDP(opts, srv, host, sc, serverPort, clientPort, h, res)
+		f.runUDP(srv, host, serverPort, clientPort, res)
 	default:
 		return nil, fmt.Errorf("replay: unsupported protocol %d", tr.Proto)
 	}
+	res.ServerAppBytes = f.c2s.n
+	res.IntegrityOK = f.c2s.intact() && f.s2c.intact()
 
 	res.Duration = clock.Since(start)
 	res.BytesOut = host.BytesOut
@@ -384,8 +458,8 @@ func Run(opts Options) (*Result, error) {
 		res.CounterDelta = net.Counter.Read() - counterBefore
 	}
 	res.GroundTruthClass = net.GroundTruthClass(res.FlowKey)
-	if s2cBytes > 0 && lastDataAt > firstDataAt {
-		res.AvgThroughputBps = float64(s2cBytes*8) / time.Duration(lastDataAt-firstDataAt).Seconds()
+	if f.s2c.n > 0 && lastDataAt > firstDataAt {
+		res.AvgThroughputBps = float64(f.s2c.n*8) / time.Duration(lastDataAt-firstDataAt).Seconds()
 	}
 	if w := time.Duration(clock.NowNS() - windowStart); windowBytes > 0 && w > 0 {
 		if rate := float64(windowBytes*8) / w.Seconds(); rate > peak {
@@ -399,17 +473,56 @@ func Run(opts Options) (*Result, error) {
 	return res, nil
 }
 
-type hooks struct {
+// flow is what the TCP and UDP replays share: the running check of each
+// direction, the client's write loop and the throughput hooks.
+type flow struct {
+	opts      Options
+	sc        *script
+	s2c, c2s  streamCheck
+	sent      int // client steps sent
+	pump      func()
 	onData    func(int)
 	markWrite func()
 }
 
-func runTCP(opts Options, srv *stack.Server, host *stack.ClientHost, sc *script,
-	serverPort, clientPort uint16, h hooks, res *Result) {
-	onData := h.onData
+// startPump installs the client's write loop over send as f.pump. Each
+// call sends, in order, every client step whose precondition s2c has met
+// and marks each write. PostWriteDelay pauses the loop before the first
+// write (AfterWrite -1) or after write AfterWrite; it resumes by itself.
+func (f *flow) startPump(send func(data []byte, segSums []uint32)) {
+	clock := f.opts.Net.Clock
+	pause := f.opts.PostWriteDelay
+	preDelayed := false
+	f.pump = func() {
+		if pause.Delay > 0 && pause.AfterWrite == -1 && !preDelayed {
+			preDelayed = true
+			clock.ScheduleAt(clock.Now().Add(pause.Delay), f.pump)
+			return
+		}
+		for f.sent < len(f.sc.client) && f.s2c.n >= f.sc.client[f.sent].need {
+			st := f.sc.client[f.sent]
+			f.sent++
+			send(st.data, st.segSums)
+			f.markWrite()
+			if pause.Delay > 0 && pause.AfterWrite == f.sent-1 {
+				clock.ScheduleAt(clock.Now().Add(pause.Delay), f.pump)
+				return
+			}
+		}
+	}
+}
 
-	clock := opts.Net.Clock
-	app := &serverApp{sc: sc, transform: opts.ServerTransform}
+// receive is the client's in-order server→client delivery hook.
+func (f *flow) receive(d []byte) {
+	f.s2c.feed(d)
+	f.onData(len(d))
+	f.pump()
+}
+
+func (f *flow) runTCP(srv *stack.Server, host *stack.ClientHost, serverPort, clientPort uint16, res *Result) {
+	opts, sc := f.opts, f.sc
+	res.FlowKey = packet.FlowKey{Proto: packet.ProtoTCP, Src: host.Addr, Dst: opts.Net.Env.ServerAddr, SrcPort: clientPort, DstPort: serverPort}
+	app := &serverApp{sc: sc, transform: opts.ServerTransform, srv: srv, flow: res.FlowKey, c2s: &f.c2s}
 	srv.ListenStream(serverPort, app)
 	cli := stack.NewTCPClient(host, opts.Net.Env.ServerAddr, clientPort, serverPort)
 	if opts.Transform != nil {
@@ -419,129 +532,35 @@ func runTCP(opts Options, srv *stack.Server, host *stack.ClientHost, sc *script,
 		cli.RTO = stack.DefaultRTO
 		srv.RTO = stack.DefaultRTO
 	}
-	res.FlowKey = packet.FlowKey{Proto: packet.ProtoTCP, Src: host.Addr, Dst: opts.Net.Env.ServerAddr, SrcPort: clientPort, DstPort: serverPort}
 
-	// Size the receive buffer to the expected stream up front: repeated
-	// append-growth while a multi-megabyte replay trickles in segment by
-	// segment otherwise dominates the allocation profile. The buffer is
-	// arena-owned; everything read out of it is copied or consumed before
-	// the next replay resets the arena.
-	cli.Received = opts.Net.Env.Arena().Buffer(sc.s2cLen)
-
-	// The client sends its i-th message once it has received all server
-	// bytes scripted before it.
-	clientSends := sc.client
-	sent := 0
-	preDelayed := false
-	var pump func()
-	pump = func() {
-		if opts.PostWriteDelay.Delay > 0 && opts.PostWriteDelay.AfterWrite == -1 && !preDelayed {
-			preDelayed = true
-			clock.ScheduleAt(clock.Now().Add(opts.PostWriteDelay.Delay), pump)
-			return
-		}
-		for sent < len(clientSends) && len(cli.Received) >= clientSends[sent].need {
-			idx := sent
-			sent++
-			cli.SendSummed(clientSends[idx].data, clientSends[idx].segSums)
-			h.markWrite()
-			if opts.PostWriteDelay.Delay > 0 && opts.PostWriteDelay.AfterWrite == idx {
-				// Pause, then resume pumping; the next write (if its
-				// precondition is met) goes out after the pause.
-				clock.ScheduleAt(clock.Now().Add(opts.PostWriteDelay.Delay), pump)
-				return
-			}
-		}
-	}
-	cli.OnConnected = func() { pump() }
-	cli.OnData = func(d []byte) { onData(len(d)); pump() }
-
+	f.startPump(cli.SendSummed)
+	cli.OnConnected = f.pump
+	cli.OnData = f.receive
 	cli.Connect()
-	runClock(opts, clock)
+	runClock(opts, opts.Net.Clock)
 
 	res.RSTsSeen = cli.RSTsSeen
 	_, res.CloseState = cli.Closed()
-	var s2cIntact bool
-	res.Got403, s2cIntact = sc.checkS2C(cli.Received)
+	res.Got403 = f.s2c.got403(sc)
 	res.Blocked = res.CloseState == "rst" || res.Got403 || !cli.Established()
-	serverGotAll := app.received >= sc.c2sLen
-	clientGotAll := len(cli.Received) >= sc.s2cLen
-	res.Completed = sent == len(clientSends) && serverGotAll && clientGotAll && !res.Blocked
-	serverStream := serverStreamBytes(srv, res.FlowKey)
-	res.ServerAppBytes = len(serverStream)
-	res.IntegrityOK = streamIs(serverStream, sc.client, sc.c2sLen) && s2cIntact
+	res.Completed = f.sent == len(sc.client) && app.received >= sc.c2sLen && f.s2c.n >= sc.s2cLen && !res.Blocked
 }
 
-func runUDP(opts Options, srv *stack.Server, host *stack.ClientHost, sc *script,
-	serverPort, clientPort uint16, h hooks, res *Result) {
-	onData := h.onData
-
-	clock := opts.Net.Clock
-	app := &dgramApp{sc: sc}
-	srv.ListenDatagram(serverPort, app)
+func (f *flow) runUDP(srv *stack.Server, host *stack.ClientHost, serverPort, clientPort uint16, res *Result) {
+	opts, sc := f.opts, f.sc
+	srv.ListenDatagram(serverPort, &dgramApp{sc: sc, c2s: &f.c2s})
 	cli := stack.NewUDPClient(host, opts.Net.Env.ServerAddr, clientPort, serverPort)
 	if opts.Transform != nil {
 		cli.Transform = opts.Transform
 	}
 	res.FlowKey = packet.FlowKey{Proto: packet.ProtoUDP, Src: host.Addr, Dst: opts.Net.Env.ServerAddr, SrcPort: clientPort, DstPort: serverPort}
 
-	clientSends := sc.client
-	received := 0
-	sent := 0
-	preDelayed := false
-	var pump func()
-	pump = func() {
-		if opts.PostWriteDelay.Delay > 0 && opts.PostWriteDelay.AfterWrite == -1 && !preDelayed {
-			preDelayed = true
-			clock.ScheduleAt(clock.Now().Add(opts.PostWriteDelay.Delay), pump)
-			return
-		}
-		for sent < len(clientSends) && received >= clientSends[sent].need {
-			idx := sent
-			sent++
-			cli.SendSummed(clientSends[idx].data, clientSends[idx].segSums)
-			h.markWrite()
-			if opts.PostWriteDelay.Delay > 0 && opts.PostWriteDelay.AfterWrite == idx {
-				clock.ScheduleAt(clock.Now().Add(opts.PostWriteDelay.Delay), pump)
-				return
-			}
-		}
-	}
-	cli.OnData = func(d []byte) { received += len(d); onData(len(d)); pump() }
-	pump()
-	runClock(opts, clock)
+	f.startPump(cli.SendSummed)
+	cli.OnData = f.receive
+	f.pump()
+	runClock(opts, opts.Net.Clock)
 
-	res.Completed = sent == len(clientSends) && received >= sc.s2cLen
-	// UDP integrity compares the joined byte streams: datagram boundaries
-	// legitimately shift when an application write exceeds one MTU.
-	var gotJoined []byte
-	for _, d := range cli.Received {
-		gotJoined = append(gotJoined, d...)
-	}
-	serverJoined := joinedServerDatagrams(srv)
-	res.ServerAppBytes = len(serverJoined)
-	res.IntegrityOK = streamIs(gotJoined, sc.server, sc.s2cLen) &&
-		streamIs(serverJoined, sc.client, sc.c2sLen)
-	res.Blocked = false
-}
-
-// joinedServerDatagrams concatenates the UDP payloads the server's
-// application layer actually received.
-func joinedServerDatagrams(srv *stack.Server) []byte {
-	var out []byte
-	for _, d := range srv.Datagrams {
-		out = append(out, d...)
-	}
-	return out
-}
-
-// serverStreamBytes digs the received stream for the replay flow out of
-// the server (for integrity checking).
-func serverStreamBytes(srv *stack.Server, key packet.FlowKey) []byte {
-	if c := srv.ConnFor(key); c != nil {
-		return c.Received
-	}
-	return nil
+	res.Completed = f.sent == len(sc.client) && f.s2c.n >= sc.s2cLen
 }
 
 // runClock drains the simulation with a generous horizon so that pauses
