@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/netem/packet"
@@ -99,7 +100,46 @@ type Technique struct {
 
 // dummyBytes produces deterministic dummy payload that cannot be mistaken
 // for a protocol signature or keyword (all bytes have the high bit set).
+// The bytes depend only on (seed, n), and seeding a math/rand source is a
+// 607-word pass, so each payload is built once per process and callers
+// get copies, free to edit.
 func dummyBytes(seed int64, n int) []byte {
+	k := dummyKey{seed, n}
+	dummyMemo.Lock()
+	defer dummyMemo.Unlock()
+	b, ok := dummyMemo.m[k]
+	if !ok {
+		b = newDummyBytes(seed, n)
+		if dummyMemo.size+n <= dummyMemoBudget {
+			if dummyMemo.m == nil {
+				dummyMemo.m = make(map[dummyKey][]byte)
+			}
+			dummyMemo.m[k] = b
+			dummyMemo.size += n
+		}
+	}
+	return slices.Clone(b)
+}
+
+// dummyMemo holds the payloads dummyBytes has built, for every goroutine
+// of the process, up to dummyMemoBudget bytes; past that it builds
+// without keeping. Techniques draw from a small set of seeds and payloads
+// of at most one segment: the golden 48-engagement sweep leaves 32
+// payloads, 5 KB in all.
+var dummyMemo struct {
+	sync.Mutex
+	m    map[dummyKey][]byte
+	size int
+}
+
+type dummyKey struct {
+	seed int64
+	n    int
+}
+
+const dummyMemoBudget = 1 << 20
+
+func newDummyBytes(seed int64, n int) []byte {
 	rng := rand.New(rand.NewSource(seed))
 	b := make([]byte, n)
 	rng.Read(b)

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/netem/packet"
@@ -216,4 +218,39 @@ func TestPauseTechniquesDelayCorrectWrite(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDummyBytesMemo checks that the memoized inert payloads are the
+// bytes a freshly seeded source produces, and that each caller gets its
+// own copy, including callers on other goroutines at once.
+func TestDummyBytesMemo(t *testing.T) {
+	want := func(seed int64, n int) []byte {
+		b := make([]byte, n)
+		rand.New(rand.NewSource(seed)).Read(b)
+		for i := range b {
+			b[i] |= 0x80
+		}
+		return b
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, seed := range []int64{1, 99, 1234, 4003} {
+				for _, n := range []int{0, 1, 7, 64, 1460} {
+					for round := 0; round < 2; round++ {
+						got := dummyBytes(seed, n)
+						if !bytes.Equal(got, want(seed, n)) {
+							t.Errorf("dummyBytes(%d, %d) round %d differs from a fresh source", seed, n, round)
+						}
+						for i := range got {
+							got[i] = 0 // a caller's edit must not reach the memo
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

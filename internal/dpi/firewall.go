@@ -21,7 +21,7 @@ type StatefulFirewall struct {
 	// DropFragments discards any IP fragment (observed on the Iran path).
 	DropFragments bool
 
-	seq map[packet.FlowKey]*fwFlow
+	seq packet.FlowTable[*fwFlow]
 }
 
 type fwFlow struct {
@@ -36,13 +36,10 @@ func (f *StatefulFirewall) Name() string { return f.Label }
 // deep-copied.
 func (f *StatefulFirewall) ForkElement() netem.Element {
 	c := *f
-	if f.seq != nil {
-		c.seq = make(map[packet.FlowKey]*fwFlow, len(f.seq))
-		for k, st := range f.seq {
-			cp := *st
-			c.seq[k] = &cp
-		}
-	}
+	c.seq = f.seq.Clone(func(st *fwFlow) *fwFlow {
+		cp := *st
+		return &cp
+	})
 	return &c
 }
 
@@ -70,14 +67,11 @@ func (f *StatefulFirewall) Process(ctx netem.Context, dir netem.Direction, fr *p
 // track updates sequence state; it reports false when the segment should
 // be dropped as out-of-window.
 func (f *StatefulFirewall) track(dir netem.Direction, p *packet.Packet) bool {
-	if f.seq == nil {
-		f.seq = make(map[packet.FlowKey]*fwFlow)
-	}
 	ck, _ := p.CanonicalFlow()
-	st := f.seq[ck]
-	if st == nil {
+	st, ok := f.seq.Get(ck)
+	if !ok {
 		st = &fwFlow{}
-		f.seq[ck] = st
+		f.seq.Put(ck, st)
 	}
 	di := 0
 	if dir == netem.ToClient {
@@ -112,4 +106,4 @@ func (f *StatefulFirewall) track(dir netem.Direction, p *packet.Packet) bool {
 }
 
 // Reset clears flow state (between replays).
-func (f *StatefulFirewall) Reset() { f.seq = nil }
+func (f *StatefulFirewall) Reset() { f.seq.Reset() }

@@ -120,21 +120,21 @@ func TestNetworkForkProxy(t *testing.T) {
 	}
 	// Streams must be copies, not aliases: continuing the flow in the parent
 	// must not grow the fork's reassembly buffers.
-	pf := parent.Proxy.flows
-	ff := fork.Proxy.flows
 	ck, _ := key.Canonical()
-	if len(pf[ck].stream[0]) != len(ff[ck].stream[0]) {
+	pf, _ := parent.Proxy.flows.Get(ck)
+	ff, _ := fork.Proxy.flows.Get(ck)
+	if len(pf.stream[0]) != len(ff.stream[0]) {
 		t.Fatal("fork stream length differs at fork point")
 	}
-	before := len(ff[ck].stream[0])
+	before := len(ff.stream[0])
 	seq := uint32(1000) + 1 + uint32(len("GET /v HTTP/1.1\r\nHost: h\r\n\r\n"))
 	more := packet.NewTCP(DefaultClientAddr, DefaultServerAddr, 41000, 80, seq, 50001, packet.FlagACK|packet.FlagPSH, []byte("more"))
 	parent.Env.FromClient(more.Serialize())
 	parent.Clock.Run()
-	if len(ff[ck].stream[0]) != before {
+	if len(ff.stream[0]) != before {
 		t.Fatal("parent traffic grew the fork's stream buffer (aliased slice)")
 	}
-	if len(pf[ck].stream[0]) == before {
+	if len(pf.stream[0]) == before {
 		t.Fatal("setup: parent stream did not grow")
 	}
 }

@@ -21,7 +21,7 @@ type Middlebox struct {
 	Cfg   Config
 
 	rng       *detrand.Rand
-	flows     map[packet.FlowKey]*mbFlow
+	flows     packet.FlowTable[*mbFlow]
 	blacklist map[hostPort]time.Time
 	blCount   map[hostPort]int
 	shapers   map[string]*shaper
@@ -88,7 +88,6 @@ func NewMiddlebox(cfg Config) *Middlebox {
 		Label:     cfg.Name,
 		Cfg:       cfg,
 		rng:       detrand.New(cfg.Seed ^ 0x5eed),
-		flows:     make(map[packet.FlowKey]*mbFlow),
 		blacklist: make(map[hostPort]time.Time),
 		blCount:   make(map[hostPort]int),
 		shapers:   make(map[string]*shaper),
@@ -103,10 +102,8 @@ func (m *Middlebox) Name() string { return m.Label }
 // ResetState clears all flow and blacklist state (between experiments).
 // Configuration (including the compiled rule program) is retained.
 func (m *Middlebox) ResetState() {
-	for _, f := range m.flows {
-		m.freeFlow(f)
-	}
-	m.flows = make(map[packet.FlowKey]*mbFlow)
+	m.flows.Range(func(_ packet.FlowKey, f *mbFlow) { m.freeFlow(f) })
+	m.flows.Reset()
 	m.blacklist = make(map[hostPort]time.Time)
 	m.blCount = make(map[hostPort]int)
 	m.shapers = make(map[string]*shaper)
@@ -143,7 +140,7 @@ func (m *Middlebox) ForkElement() netem.Element {
 		Label:     m.Label,
 		Cfg:       m.Cfg,
 		rng:       m.rng.Clone(),
-		flows:     make(map[packet.FlowKey]*mbFlow, len(m.flows)),
+		flows:     m.flows.Clone((*mbFlow).clone),
 		blacklist: make(map[hostPort]time.Time, len(m.blacklist)),
 		blCount:   make(map[hostPort]int, len(m.blCount)),
 		shapers:   make(map[string]*shaper, len(m.shapers)),
@@ -153,9 +150,6 @@ func (m *Middlebox) ForkElement() netem.Element {
 	c.FaultStats = m.FaultStats
 	if m.faultRNG != nil {
 		c.faultRNG = m.faultRNG.Clone()
-	}
-	for k, f := range m.flows {
-		c.flows[k] = f.clone()
 	}
 	for k, v := range m.blacklist {
 		c.blacklist[k] = v
@@ -196,7 +190,7 @@ func (f *mbFlow) clone() *mbFlow {
 // the testbed environment.
 func (m *Middlebox) FlowClass(clientKey packet.FlowKey) string {
 	ck, _ := clientKey.Canonical()
-	if f, ok := m.flows[ck]; ok {
+	if f, ok := m.flows.Get(ck); ok {
 		return f.class
 	}
 	return ""
@@ -217,7 +211,7 @@ func (m *Middlebox) isZeroRatedPacket(p *packet.Packet) bool {
 }
 
 func (m *Middlebox) zeroRatedCanonical(ck packet.FlowKey) bool {
-	f, ok := m.flows[ck]
+	f, ok := m.flows.Get(ck)
 	if !ok || f.class == "" {
 		return false
 	}
@@ -267,7 +261,7 @@ func (m *Middlebox) inspectPacket(ctx netem.Context, dir netem.Direction, p *pac
 	if m.inOutage(ctx) {
 		m.FaultStats.OutageSkips++
 		if ctx.Traced() {
-			m.event(ctx, obs.KindDPIFault, obs.CtrFaults, "outage", m.clientKey(dir, p), 0, 0)
+			m.event(ctx, obs.KindDPIFault, obs.CtrFaults, "outage", clientKey(dir, p), 0, 0)
 		}
 		return
 	}
@@ -579,7 +573,9 @@ func (m *Middlebox) serverPort(dir netem.Direction, p *packet.Packet) uint16 {
 	return k.SrcPort
 }
 
-func (m *Middlebox) clientKey(dir netem.Direction, p *packet.Packet) packet.FlowKey {
+// clientKey returns p's flow key in the client's orientation: the
+// packet's own on its way to the server, the reverse on its way back.
+func clientKey(dir netem.Direction, p *packet.Packet) packet.FlowKey {
 	k := p.Flow()
 	if dir == netem.ToClient {
 		k = k.Reverse()
@@ -588,11 +584,11 @@ func (m *Middlebox) clientKey(dir netem.Direction, p *packet.Packet) packet.Flow
 }
 
 // flowFor fetches or creates flow state, applying idle/load eviction.
+// Only a new flow record needs the client-orientation key.
 func (m *Middlebox) flowFor(ctx netem.Context, dir netem.Direction, p *packet.Packet) *mbFlow {
-	clientKey := m.clientKey(dir, p)
 	ck, _ := p.CanonicalFlow()
 	now := ctx.VNS()
-	f, ok := m.flows[ck]
+	f, ok := m.flows.Get(ck)
 	if ok {
 		idle := time.Duration(now - f.lastSeen)
 		reason := "" // empty = keep; otherwise the eviction cause
@@ -612,21 +608,21 @@ func (m *Middlebox) flowFor(ctx netem.Context, dir netem.Direction, p *packet.Pa
 			if ctx.Traced() {
 				m.event(ctx, obs.KindDPIFlush, obs.CtrFlowEvictions, reason, f.clientKey, 0, 0)
 			}
-			delete(m.flows, ck)
+			m.flows.Delete(ck)
 			m.freeFlow(f)
 			ok = false
 		}
 	}
 	if !ok {
 		isSYN := p.TCP != nil && p.TCP.Flags.Has(packet.FlagSYN) && !p.TCP.Flags.Has(packet.FlagACK) && dir == netem.ToServer
-		f = m.newFlowRecord(ctx, clientKey, isSYN || p.TCP == nil, now)
-		m.flows[ck] = f
+		f = m.newFlowRecord(ctx, clientKey(dir, p), isSYN || p.TCP == nil, now)
+		m.flows.Put(ck, f)
 		m.enforceFlowCap(ctx, ck)
 	} else if p.TCP != nil && p.TCP.Flags.Has(packet.FlagSYN) && !p.TCP.Flags.Has(packet.FlagACK) && dir == netem.ToServer {
 		// Fresh handshake on a stale tuple: restart the flow record.
 		m.freeFlow(f)
-		nf := m.newFlowRecord(ctx, clientKey, true, now)
-		m.flows[ck] = nf
+		nf := m.newFlowRecord(ctx, clientKey(dir, p), true, now)
+		m.flows.Put(ck, nf)
 		return nf
 	}
 	return f
@@ -638,9 +634,7 @@ func (m *Middlebox) flowFor(ctx netem.Context, dir netem.Direction, p *packet.Pa
 // queryable — while fork clones and stream appends stop paying for dead
 // connection history.
 func (m *Middlebox) Quiesce() {
-	for _, f := range m.flows {
-		m.compactFlow(f)
-	}
+	m.flows.Range(func(_ packet.FlowKey, f *mbFlow) { m.compactFlow(f) })
 }
 
 // compactFlow sheds a dead flow's reassembly buffers into the local free
@@ -686,11 +680,11 @@ var mbFlowPool = sync.Pool{New: func() any { return new(mbFlow) }}
 // different goroutine, so it is legal only when the middlebox is dead:
 // its trial finished and every result derived from it has been read.
 func (m *Middlebox) Release() {
-	for _, f := range m.flows {
+	m.flows.Range(func(_ packet.FlowKey, f *mbFlow) {
 		clearFlow(f)
 		mbFlowPool.Put(f)
-	}
-	clear(m.flows)
+	})
+	m.flows.Reset()
 	for i, f := range m.flowFree {
 		mbFlowPool.Put(f)
 		m.flowFree[i] = nil
@@ -736,27 +730,24 @@ func (m *Middlebox) newFlowRecord(ctx netem.Context, clientKey packet.FlowKey, s
 // order.
 func (m *Middlebox) enforceFlowCap(ctx netem.Context, justAdded packet.FlowKey) {
 	cap_ := m.Cfg.Faults.FlowTableCap
-	if cap_ <= 0 || len(m.flows) <= cap_ {
+	if cap_ <= 0 || m.flows.Len() <= cap_ {
 		return
 	}
 	var victim packet.FlowKey
 	var vf *mbFlow
-	for k, f := range m.flows {
-		if k == justAdded {
-			continue
-		}
-		if vf == nil || f.lastSeen < vf.lastSeen ||
-			(f.lastSeen == vf.lastSeen && k.Less(victim)) {
+	m.flows.Range(func(k packet.FlowKey, f *mbFlow) {
+		if k != justAdded && (vf == nil || f.lastSeen < vf.lastSeen ||
+			(f.lastSeen == vf.lastSeen && k.Less(victim))) {
 			victim, vf = k, f
 		}
-	}
+	})
 	if vf == nil {
 		return
 	}
 	if ctx.Traced() {
 		m.event(ctx, obs.KindDPIFlush, obs.CtrFlowEvictions, "lru", vf.clientKey, 0, 0)
 	}
-	delete(m.flows, victim)
+	m.flows.Delete(victim)
 	m.freeFlow(vf)
 	m.FaultStats.LRUEvictions++
 }
@@ -834,8 +825,8 @@ func (m *Middlebox) classify(ctx netem.Context, dir netem.Direction, f *mbFlow, 
 
 func (m *Middlebox) actStateless(ctx netem.Context, dir netem.Direction, trigger *packet.Packet, class string, ruleIdx int) {
 	if ctx.Traced() {
-		m.event(ctx, obs.KindDPIMatch, obs.CtrRuleMatches, class, m.clientKey(dir, trigger), int64(ruleIdx), 0)
-		m.event(ctx, obs.KindDPIBlock, obs.CtrBlocks, class, m.clientKey(dir, trigger), 0, 0)
+		m.event(ctx, obs.KindDPIMatch, obs.CtrRuleMatches, class, clientKey(dir, trigger), int64(ruleIdx), 0)
+		m.event(ctx, obs.KindDPIBlock, obs.CtrBlocks, class, clientKey(dir, trigger), 0, 0)
 	}
 	pol := m.Cfg.Policies[class]
 	if pol.Block {
@@ -951,7 +942,7 @@ func (m *Middlebox) enforceBlacklist(ctx netem.Context, dir netem.Direction, p *
 		return false
 	}
 	if ctx.Traced() {
-		m.event(ctx, obs.KindDPIBlacklist, obs.CtrBlocks, "enforce", m.clientKey(dir, p), 0, 0)
+		m.event(ctx, obs.KindDPIBlacklist, obs.CtrBlocks, "enforce", clientKey(dir, p), 0, 0)
 	}
 	if dir == netem.ToServer {
 		rst := packet.NewTCP(hp.addr, p.IP.Src, p.TCP.DstPort, p.TCP.SrcPort, p.TCP.Ack, p.TCP.Seq+uint32(len(p.Payload)), packet.FlagRST|packet.FlagACK, nil)
@@ -966,7 +957,7 @@ func (m *Middlebox) forward(ctx netem.Context, dir netem.Direction, p *packet.Pa
 	class := ""
 	if m.Cfg.Mode != InspectPerPacket {
 		ck, _ := p.CanonicalFlow()
-		if fl, ok := m.flows[ck]; ok {
+		if fl, ok := m.flows.Get(ck); ok {
 			class = fl.class
 		}
 	}
@@ -984,7 +975,7 @@ func (m *Middlebox) forward(ctx netem.Context, dir netem.Direction, p *packet.Pa
 		d := sh.delay(ctx.VNS(), f.Len())
 		if d > 0 {
 			if ctx.Traced() {
-				m.event(ctx, obs.KindDPIThrottle, obs.CtrThrottleDelays, class, m.clientKey(dir, p), int64(d), 0)
+				m.event(ctx, obs.KindDPIThrottle, obs.CtrThrottleDelays, class, clientKey(dir, p), int64(d), 0)
 			}
 			ctx.ForwardAfter(d, f)
 			return

@@ -32,7 +32,7 @@ type TransparentProxy struct {
 	ThrottleBps   float64
 	ThrottleBurst int
 
-	flows map[packet.FlowKey]*proxyFlow
+	flows packet.FlowTable[*proxyFlow]
 	// bufFree holds stream buffers reclaimed from cleanly closed flows
 	// (compactFlow) for reuse by new flows on this proxy instance. Local,
 	// never shared with forks.
@@ -79,14 +79,14 @@ func (x *TransparentProxy) Intercepts(port uint16) bool {
 // FlowClass exposes classification ground truth.
 func (x *TransparentProxy) FlowClass(clientKey packet.FlowKey) string {
 	ck, _ := clientKey.Canonical()
-	if f, ok := x.flows[ck]; ok {
+	if f, ok := x.flows.Get(ck); ok {
 		return f.class
 	}
 	return ""
 }
 
 // ResetState clears per-flow state.
-func (x *TransparentProxy) ResetState() { x.flows = nil }
+func (x *TransparentProxy) ResetState() { x.flows.Reset() }
 
 // ForkElement implements netem.Forkable: per-flow reassembly buffers,
 // classification, forwarding offsets, and shaper positions are deep-copied.
@@ -95,12 +95,7 @@ func (x *TransparentProxy) ForkElement() netem.Element {
 	c := *x
 	c.scratch = nil // never share the match buffer with the fork
 	c.bufFree = nil // nor the reclaimed-buffer free list
-	if x.flows != nil {
-		c.flows = make(map[packet.FlowKey]*proxyFlow, len(x.flows))
-		for k, f := range x.flows {
-			c.flows[k] = f.clone()
-		}
-	}
+	c.flows = x.flows.Clone((*proxyFlow).clone)
 	return &c
 }
 
@@ -129,11 +124,11 @@ func clearProxyFlow(f *proxyFlow) {
 // once the proxy is dead: its trial finished and every result derived
 // from it has been read.
 func (x *TransparentProxy) Release() {
-	for _, f := range x.flows {
+	x.flows.Range(func(_ packet.FlowKey, f *proxyFlow) {
 		clearProxyFlow(f)
 		proxyFlowPool.Put(f)
-	}
-	clear(x.flows)
+	})
+	x.flows.Reset()
 }
 
 // clone deep-copies one proxied flow into a pooled record, reusing the
@@ -191,15 +186,8 @@ func (x *TransparentProxy) Process(ctx netem.Context, dir netem.Direction, fr *p
 	if !defects.Empty() {
 		return
 	}
-	if x.flows == nil {
-		x.flows = make(map[packet.FlowKey]*proxyFlow)
-	}
-	key := p.Flow()
-	if dir == netem.ToClient {
-		key = key.Reverse()
-	}
 	ck, _ := p.CanonicalFlow()
-	f := x.flows[ck]
+	f, _ := x.flows.Get(ck)
 	t := p.TCP
 
 	if t.Flags.Has(packet.FlagSYN) && !t.Flags.Has(packet.FlagACK) {
@@ -216,7 +204,7 @@ func (x *TransparentProxy) Process(ctx netem.Context, dir netem.Direction, fr *p
 		}
 		f.exp[0] = t.Seq + 1
 		f.expValid[0] = true
-		x.flows[ck] = f
+		x.flows.Put(ck, f)
 		ctx.Forward(fr)
 		return
 	}
@@ -242,7 +230,7 @@ func (x *TransparentProxy) Process(ctx netem.Context, dir netem.Direction, fr *p
 
 	if len(p.Payload) > 0 {
 		at := x.ingest(f, di, t.Seq, p.Payload)
-		x.classifyStreams(ctx, f, key, serverPort)
+		x.classifyStreams(ctx, dir, p, f, serverPort)
 		x.drain(ctx, dir, f, di, p, at)
 	}
 	if t.Flags.Has(packet.FlagFIN) {
@@ -266,9 +254,7 @@ func (x *TransparentProxy) Process(ctx netem.Context, dir netem.Direction, fr *p
 // FlowClass keeps answering for past flows — and the parent's flow map
 // staying compact is what keeps ForkElement cheap for trial replicas.
 func (x *TransparentProxy) Quiesce() {
-	for _, f := range x.flows {
-		x.compactFlow(f)
-	}
+	x.flows.Range(func(_ packet.FlowKey, f *proxyFlow) { x.compactFlow(f) })
 }
 
 // compactFlow retires a cleanly closed flow's reassembly state, parking
@@ -361,7 +347,7 @@ func appendMaybeCapped(buf, data []byte, cap_ int) []byte {
 	return buf
 }
 
-func (x *TransparentProxy) classifyStreams(ctx netem.Context, f *proxyFlow, key packet.FlowKey, serverPort uint16) {
+func (x *TransparentProxy) classifyStreams(ctx netem.Context, dir netem.Direction, p *packet.Packet, f *proxyFlow, serverPort uint16) {
 	if f.class != "" {
 		return
 	}
@@ -387,12 +373,13 @@ func (x *TransparentProxy) classifyStreams(ctx netem.Context, f *proxyFlow, key 
 		if len(r.Keywords) > 0 && x.ruleMatches(f, r, k0-len(r.Keywords)) {
 			f.class = r.Class
 			if ctx.Traced() {
+				flow := clientKey(dir, p).String()
 				rec := ctx.Rec()
 				rec.Record(obs.Event{VNS: ctx.VNS(), Kind: obs.KindDPIMatch, Actor: x.Label,
-					Label: r.Class, Flow: key.String(), Value: int64(i)})
+					Label: r.Class, Flow: flow, Value: int64(i)})
 				rec.Add(obs.CtrRuleMatches, 1)
 				rec.Record(obs.Event{VNS: ctx.VNS(), Kind: obs.KindDPIClassify, Actor: x.Label,
-					Label: r.Class, Flow: key.String(), Value: int64(i)})
+					Label: r.Class, Flow: flow, Value: int64(i)})
 				rec.Add(obs.CtrClassifications, 1)
 			}
 			break

@@ -14,7 +14,7 @@ import (
 
 // EngagementAllocBudget is the CI ceiling on allocations per full
 // engagement. The timing-wheel scheduler, payload-sum memoization,
-// pooled replay setup and the shared derived-trace memo run one at ~6.1k
+// pooled replay setup and the shared derived-trace memo run one at ~5.7k
 // allocs (MeasureEngagementAllocs); the budget leaves modest
 // headroom for legitimate feature growth while catching a regression
 // that reintroduces per-event or per-packet heap traffic (the seed ran

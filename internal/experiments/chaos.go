@@ -226,19 +226,11 @@ func MeasureRobustOverhead(rounds int) *RobustOverhead {
 	// samples see does not depend on what ran before in this process.
 	runtime.GC()
 	sample := func(robust, record bool) time.Duration {
-		net := dpi.NewBaseline()
-		defer net.Release()
+		var rec obs.Recorder
 		if record {
-			net.Env.SetRecorder(obs.NewFlightRecorder(4096))
+			rec = obs.NewFlightRecorder(4096)
 		}
-		s := core.NewSession(net)
-		s.Robust = robust
-		tcpTr := trace.EconomistWeb(8 << 10)
-		start := time.Now()
-		for i := 0; i < rounds; i++ {
-			s.Replay(tcpTr, nil)
-		}
-		return time.Since(start)
+		return cleanReplays(rounds, robust, rec).wall
 	}
 	const reps = 7
 	const maxDur = time.Duration(1<<63 - 1)
@@ -265,6 +257,36 @@ func MeasureRobustOverhead(rounds int) *RobustOverhead {
 	o.RecorderNS = best[2].Nanoseconds()
 	o.RecorderRatio = median(recorderRatios)
 	return o
+}
+
+// cleanRun is what one run of the overhead workload measured.
+type cleanRun struct {
+	wall    time.Duration // the replay loop's wall time
+	allocs  uint64        // heap allocations of the replay loop
+	replays int           // replays the session made, retries included
+}
+
+// cleanReplays runs the overhead guards' workload: rounds replays of an
+// 8 KiB web trace on a fresh clean baseline network, with robust gating
+// as given and rec installed (nil installs none).
+func cleanReplays(rounds int, robust bool, rec obs.Recorder) cleanRun {
+	net := dpi.NewBaseline()
+	defer net.Release()
+	if rec != nil {
+		net.Env.SetRecorder(rec)
+	}
+	s := core.NewSession(net)
+	s.Robust = robust
+	tcpTr := trace.EconomistWeb(8 << 10)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	for i := 0; i < rounds; i++ {
+		s.Replay(tcpTr, nil)
+	}
+	wall := time.Since(start)
+	runtime.ReadMemStats(&after)
+	return cleanRun{wall: wall, allocs: after.Mallocs - before.Mallocs, replays: s.Rounds}
 }
 
 // median returns the middle value of xs (mean of the middle pair for

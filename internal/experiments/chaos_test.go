@@ -3,11 +3,14 @@ package experiments
 import (
 	"fmt"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dpi"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -133,4 +136,65 @@ func TestChaosQuickSweepStable(t *testing.T) {
 		t.Fatal("empty render")
 	}
 	fmt.Println(rep.Render())
+}
+
+// countingNop is a disabled recorder that counts the calls it receives.
+type countingNop struct{ calls *int64 }
+
+func (c countingNop) Enabled() bool          { return false }
+func (c countingNop) Record(obs.Event)       { *c.calls++ }
+func (c countingNop) Add(obs.Counter, int64) { *c.calls++ }
+
+// TestOverheadCounts is the deterministic side of `benchtab -exp
+// overhead`: its clean-network workload counted instead of timed. Robust
+// gating retries nothing on a clean network, so it must make the same
+// replays as a plain session and no more heap allocations; a disabled
+// recorder must add no allocations and never be called, because every
+// call site checks Enabled first. Each mode runs once to warm the
+// process-wide pools, then again with the collector off and one P, so
+// no collection empties a pool and no move to another P's pool cache
+// misses it, either of which would move the counts. Each mode keeps its
+// fewest allocations over three rounds: a rare stray runtime allocation
+// adds one to a single run, while an allocation the mode makes shows in
+// every round. Under the race
+// detector sync.Pool drops items at random, so there only the replay and
+// call counts are checked.
+func TestOverheadCounts(t *testing.T) {
+	const rounds = 200
+	var calls int64
+	modes := []func() cleanRun{
+		func() cleanRun { return cleanReplays(rounds, false, nil) },
+		func() cleanRun { return cleanReplays(rounds, true, nil) },
+		func() cleanRun { return cleanReplays(rounds, false, countingNop{&calls}) },
+	}
+	for _, run := range modes {
+		run()
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	calls = 0
+	var runs [3]cleanRun
+	for rep := 0; rep < 3; rep++ {
+		for i, run := range modes {
+			r := run()
+			if r.replays != rounds {
+				t.Errorf("mode %d made %d replays, want %d", i, r.replays, rounds)
+			}
+			if rep == 0 || r.allocs < runs[i].allocs {
+				runs[i] = r
+			}
+		}
+	}
+	plain, robust, nop := runs[0], runs[1], runs[2]
+	t.Logf("allocs %d/%d/%d (plain/robust/disabled recorder), recorder calls %d",
+		plain.allocs, robust.allocs, nop.allocs, calls)
+	if calls != 0 {
+		t.Errorf("the disabled recorder was called %d times", calls)
+	}
+	if !raceEnabled && robust.allocs > plain.allocs {
+		t.Errorf("robust gating allocates %d times in %d replays, plain %d", robust.allocs, rounds, plain.allocs)
+	}
+	if !raceEnabled && nop.allocs > plain.allocs {
+		t.Errorf("a disabled recorder allocates %d times in %d replays, none %d", nop.allocs, rounds, plain.allocs)
+	}
 }

@@ -5,17 +5,17 @@ import (
 	"testing"
 )
 
-// Regression: less() once ignored Proto entirely, so a TCP and a UDP flow
+// Regression: Less once ignored Proto entirely, so a TCP and a UDP flow
 // sharing addresses and ports collapsed into one ordering class. Two keys
 // differing only in Proto must order strictly and consistently.
 func TestFlowKeyLessProto(t *testing.T) {
 	tcp := FlowKey{Src: srcA, Dst: dstA, SrcPort: 4000, DstPort: 80, Proto: ProtoTCP}
 	udp := tcp
 	udp.Proto = ProtoUDP
-	if !less(tcp, udp) {
+	if !tcp.Less(udp) {
 		t.Fatal("ProtoTCP (6) should order before ProtoUDP (17)")
 	}
-	if less(udp, tcp) {
+	if udp.Less(tcp) {
 		t.Fatal("ordering must be antisymmetric")
 	}
 	// Canonical forms of distinct-proto flows must stay distinct.

@@ -40,19 +40,18 @@ type Packet struct {
 	// don't re-sum a 1400-byte payload.
 	paySum paySumCache
 
-	// flowCK memoizes Flow().Canonical(): parse-cached packets are shared
-	// read-only by every element on the path, and most elements key a
-	// flow table by the canonical tuple on every hop.
-	flowCK    FlowKey
-	flowFwd   bool
-	flowCKSet bool
+	// flowCK and flowFwd are Flow().Canonical() as of the parse (see
+	// CanonicalFlow). A frame is parsed once for every element on its
+	// path, so each frame's flow identity is computed once, not once per
+	// element that keys a flow table by it.
+	flowCK  FlowKey
+	flowFwd bool
 }
 
 // Clone returns a deep copy of p.
 func (p *Packet) Clone() *Packet {
 	q := *p
 	q.paySum = paySumCache{}
-	q.flowCKSet = false
 	q.IP.Options = append([]byte(nil), p.IP.Options...)
 	if p.TCP != nil {
 		t := *p.TCP
@@ -313,24 +312,45 @@ func inspect(ar *Arena, raw, pay []byte, alias bool, hintVal uint32, hintN int) 
 	}
 	body := raw[hdrLen:end]
 
-	// Fragments other than the first carry no parseable transport header.
-	if h.FragOffset != 0 {
+	switch {
+	case h.FragOffset != 0:
+		// Fragments other than the first carry no parseable transport
+		// header.
 		p.Payload = view(alias, body)
-		return p, defects
-	}
-
-	switch h.Protocol {
-	case ProtoTCP:
+	case h.Protocol == ProtoTCP:
 		defects |= p.parseTCP(a, body, pay, alias, hintVal, hintN)
-	case ProtoUDP:
+	case h.Protocol == ProtoUDP:
 		defects |= p.parseUDP(a, body, pay, alias, hintVal, hintN)
-	case ProtoICMP:
+	case h.Protocol == ProtoICMP:
 		defects |= p.parseICMP(a, body, alias, hintVal, hintN)
 	default:
 		defects = defects.Add(DefectIPProtocol)
 		p.Payload = view(alias, body)
 	}
+	p.setFlow()
 	return p, defects
+}
+
+// setFlow stores Flow().Canonical() on the parse. It writes the fields in
+// place: FlowKey holds arrays, so the compiler keeps every FlowKey value
+// in memory, and building one to return costs copies on the per-frame
+// path.
+func (p *Packet) setFlow() {
+	var sp, dp uint16
+	switch {
+	case p.TCP != nil:
+		sp, dp = p.TCP.SrcPort, p.TCP.DstPort
+	case p.UDP != nil:
+		sp, dp = p.UDP.SrcPort, p.UDP.DstPort
+	}
+	k := &p.flowCK
+	k.Proto = p.IP.Protocol
+	p.flowFwd = endOf(p.IP.Src, sp) < endOf(p.IP.Dst, dp)
+	if p.flowFwd {
+		k.Src, k.Dst, k.SrcPort, k.DstPort = p.IP.Src, p.IP.Dst, sp, dp
+	} else {
+		k.Src, k.Dst, k.SrcPort, k.DstPort = p.IP.Dst, p.IP.Src, dp, sp
+	}
 }
 
 // parseTCP and parseUDP parse the transport segment body ++ pay, where a
@@ -455,34 +475,34 @@ func (k FlowKey) Reverse() FlowKey {
 	return FlowKey{Proto: k.Proto, Src: k.Dst, Dst: k.Src, SrcPort: k.DstPort, DstPort: k.SrcPort}
 }
 
-// Canonical returns a direction-independent key (the lexicographically
-// smaller orientation) plus whether the original orientation was kept.
+// Canonical returns a direction-independent key (the smaller orientation
+// under Less) plus whether the original orientation was kept: the kept
+// one is the one whose source end, address then port, is the smaller.
 func (k FlowKey) Canonical() (FlowKey, bool) {
-	r := k.Reverse()
-	if less(k, r) {
+	if endOf(k.Src, k.SrcPort) < endOf(k.Dst, k.DstPort) {
 		return k, true
 	}
-	return r, false
+	return k.Reverse(), false
 }
 
 // Less is a total order over flow keys (the one Canonical uses), exposed
-// for callers that need deterministic tie-breaking over key sets.
-func (k FlowKey) Less(o FlowKey) bool { return less(k, o) }
+// for callers that need deterministic tie-breaking over key sets. It
+// orders by protocol, then source address and port, then destination
+// address and port, with addresses compared byte by byte.
+func (k FlowKey) Less(o FlowKey) bool {
+	if k.Proto != o.Proto {
+		return k.Proto < o.Proto
+	}
+	if a, b := endOf(k.Src, k.SrcPort), endOf(o.Src, o.SrcPort); a != b {
+		return a < b
+	}
+	return endOf(k.Dst, k.DstPort) < endOf(o.Dst, o.DstPort)
+}
 
-func less(a, b FlowKey) bool {
-	if a.Proto != b.Proto {
-		return a.Proto < b.Proto
-	}
-	if a.Src != b.Src {
-		return string(a.Src[:]) < string(b.Src[:])
-	}
-	if a.SrcPort != b.SrcPort {
-		return a.SrcPort < b.SrcPort
-	}
-	if a.Dst != b.Dst {
-		return string(a.Dst[:]) < string(b.Dst[:])
-	}
-	return a.DstPort < b.DstPort
+// endOf packs one end of a flow, its address (big-endian, so integer
+// order is byte order) above its port.
+func endOf(a Addr, port uint16) uint64 {
+	return uint64(binary.BigEndian.Uint32(a[:]))<<16 | uint64(port)
 }
 
 func (k FlowKey) String() string {
@@ -490,17 +510,10 @@ func (k FlowKey) String() string {
 }
 
 // CanonicalFlow returns the packet's direction-independent flow key and
-// whether the packet's own orientation is the canonical one, memoized on
-// the packet. Safe on parse-cached (immutable) packets; callers that
-// mutate addressing fields must use Flow().Canonical() instead (Clone
-// drops the memo).
-func (p *Packet) CanonicalFlow() (FlowKey, bool) {
-	if !p.flowCKSet {
-		p.flowCK, p.flowFwd = p.Flow().Canonical()
-		p.flowCKSet = true
-	}
-	return p.flowCK, p.flowFwd
-}
+// whether the packet's own orientation is the canonical one, as its parse
+// (Inspect, InspectView, Frame.Parse) computed them. Only parses carry
+// them: a packet built or edited in code must use Flow().Canonical().
+func (p *Packet) CanonicalFlow() (FlowKey, bool) { return p.flowCK, p.flowFwd }
 
 // Flow extracts the packet's flow key. Port fields are zero for packets
 // without a transport header.

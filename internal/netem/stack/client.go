@@ -16,7 +16,9 @@ type ClientHost struct {
 	Clock *vclock.Clock
 	Addr  packet.Addr
 
-	flows map[packet.FlowKey]flowSink
+	// flows holds each flow under its inbound orientation, the key
+	// arriving packets carry.
+	flows packet.FlowTable[flowSink]
 	arena *packet.Arena
 	ids   ipIDs
 	// ICMP receives ICMP messages addressed to the host (time-exceeded
@@ -51,7 +53,7 @@ type flowSink interface {
 
 // NewClientHost wires a client host to env's client end.
 func NewClientHost(env *netem.Env) *ClientHost {
-	h := &ClientHost{Env: env, Clock: env.Clock, Addr: env.ClientAddr, flows: make(map[packet.FlowKey]flowSink), arena: env.Arena()}
+	h := &ClientHost{Env: env, Clock: env.Clock, Addr: env.ClientAddr, arena: env.Arena()}
 	env.SetClient(h)
 	return h
 }
@@ -68,10 +70,7 @@ func (h *ClientHost) Deliver(f *packet.Frame) {
 		}
 		return
 	}
-	// Arriving packets are keyed by their reversed flow (we stored the
-	// outbound orientation).
-	key := p.Flow().Reverse()
-	if sink, ok := h.flows[key]; ok {
+	if sink, ok := h.flows.Get(p.Flow()); ok {
 		sink.deliver(p, defects)
 	}
 }
@@ -162,12 +161,13 @@ func NewTCPClient(h *ClientHost, dst packet.Addr, srcPort, dstPort uint16) *TCPC
 		Transform: Passthrough(),
 		sendReady: h.Clock.Now(),
 	}
-	h.flows[c.flowKey()] = c
+	h.flows.Put(c.inboundKey(), c)
 	return c
 }
 
-func (c *TCPClient) flowKey() packet.FlowKey {
-	return packet.FlowKey{Proto: packet.ProtoTCP, Src: c.host.Addr, Dst: c.Dst, SrcPort: c.SrcPort, DstPort: c.DstPort}
+// inboundKey is the flow key of the server's packets to this connection.
+func (c *TCPClient) inboundKey() packet.FlowKey {
+	return packet.FlowKey{Proto: packet.ProtoTCP, Src: c.Dst, Dst: c.host.Addr, SrcPort: c.DstPort, DstPort: c.SrcPort}
 }
 
 // Established reports whether the handshake has completed.
@@ -373,12 +373,13 @@ type UDPClient struct {
 // NewUDPClient registers a UDP flow on the host.
 func NewUDPClient(h *ClientHost, dst packet.Addr, srcPort, dstPort uint16) *UDPClient {
 	c := &UDPClient{host: h, Dst: dst, SrcPort: srcPort, DstPort: dstPort, Transform: Passthrough(), sendReady: h.Clock.Now()}
-	h.flows[c.flowKey()] = c
+	h.flows.Put(c.inboundKey(), c)
 	return c
 }
 
-func (c *UDPClient) flowKey() packet.FlowKey {
-	return packet.FlowKey{Proto: packet.ProtoUDP, Src: c.host.Addr, Dst: c.Dst, SrcPort: c.SrcPort, DstPort: c.DstPort}
+// inboundKey is the flow key of the server's datagrams to this flow.
+func (c *UDPClient) inboundKey() packet.FlowKey {
+	return packet.FlowKey{Proto: packet.ProtoUDP, Src: c.Dst, Dst: c.host.Addr, SrcPort: c.DstPort, DstPort: c.SrcPort}
 }
 
 func (c *UDPClient) deliver(p *packet.Packet, defects packet.DefectSet) {

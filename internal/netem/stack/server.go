@@ -46,7 +46,7 @@ type Server struct {
 	streamApps   map[uint16]StreamHandler
 	datagramApps map[uint16]DatagramHandler
 
-	conns map[packet.FlowKey]*ServerConn
+	conns packet.FlowTable[*ServerConn]
 	reasm *packet.Reassembler
 	arena *packet.Arena
 
@@ -62,7 +62,8 @@ type Server struct {
 
 // ConnFor returns the connection for a client-orientation flow key, or nil.
 func (s *Server) ConnFor(clientKey packet.FlowKey) *ServerConn {
-	return s.conns[clientKey]
+	c, _ := s.conns.Get(clientKey)
+	return c
 }
 
 // NewServer wires a server stack to env's server end.
@@ -74,7 +75,6 @@ func NewServer(env *netem.Env, os OSProfile) *Server {
 		OS:           os,
 		streamApps:   make(map[uint16]StreamHandler),
 		datagramApps: make(map[uint16]DatagramHandler),
-		conns:        make(map[packet.FlowKey]*ServerConn),
 		reasm:        packet.NewReassembler(),
 		arena:        env.Arena(),
 	}
@@ -134,7 +134,7 @@ func (s *Server) sendRST(p *packet.Packet) {
 
 func (s *Server) handleTCP(p *packet.Packet, defects packet.DefectSet) {
 	key := p.Flow()
-	conn := s.conns[key]
+	conn, _ := s.conns.Get(key)
 	t := p.TCP
 
 	if t.Flags.Has(packet.FlagSYN) && !t.Flags.Has(packet.FlagACK) {
@@ -148,7 +148,7 @@ func (s *Server) handleTCP(p *packet.Packet, defects packet.DefectSet) {
 			Src: p.IP.Src, SrcPort: t.SrcPort, DstPort: t.DstPort,
 			rx: inOrder{next: t.Seq + 1}, sndNxt: serverISS,
 		}
-		s.conns[key] = conn
+		s.conns.Put(key, conn)
 		synack := s.arena.NewTCP(s.Addr, conn.Src, s.ids.next(), conn.DstPort, conn.SrcPort, conn.sndNxt, conn.rx.next, packet.FlagSYN|packet.FlagACK, nil)
 		conn.sndNxt++
 		s.Env.FromServerFrame(s.arena.FrameOf(synack))
